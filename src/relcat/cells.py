@@ -17,13 +17,17 @@ atoms in the same order, so differently bracketed composites have literally
 identical fiber encodings and unit cells compose away to nothing.  The
 associativity and unit isomorphisms are therefore identities, and `equal`
 on bit matrices soundly decides equality of composite diagrams.
+
+Display labels of composite fibers (and of tensor product fibers) are
+computed when first read, which in practice is when a `CellDifference` is
+described; the algebra itself only ever needs fiber sizes and paths.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -106,7 +110,7 @@ class OneCell:
 
     def paths(self, t: int, s: int) -> list[Path]:
         """Elements of fiber (t, s) as ranked paths through the word."""
-        return _word_paths(self.word, self.chain, t, s)
+        return list(_word_paths_cached(self.word, self.chain, t, s))
 
     def is_identity_word(self) -> bool:
         return not self.word
@@ -144,12 +148,6 @@ def _word_paths_cached(
     paths = states.get(t, [])
     paths.sort(key=lambda p: tuple(reversed(p)))
     return tuple(paths)
-
-
-def _word_paths(
-    word: tuple[Atom, ...], chain: tuple[FiniteSet, ...], t: int, s: int
-) -> list[Path]:
-    return list(_word_paths_cached(word, chain, t, s))
 
 
 def _path_label(
@@ -190,20 +188,26 @@ def _path_label(
     return parts[0] if len(parts) == 1 else "(" + ",".join(parts) + ")"
 
 
-def _composite_fiber_set(
-    word: tuple[Atom, ...], chain: tuple[FiniteSet, ...], t: int, s: int
-) -> FiniteSet:
-    paths = _word_paths(word, chain, t, s)
-    labels: Optional[list[str]] = []
-    for p in paths:
-        lab = _path_label(word, chain, t, s, p)
-        if lab is None:
-            labels = None
-            break
-        labels.append(lab)
-    if labels is not None and len(set(labels)) != len(labels):
-        labels = None
-    return FiniteSet(len(paths), tuple(labels) if labels is not None else None)
+@dataclass(frozen=True)
+class _PathLabels:
+    """Label recipe of composite fiber (t, s): one `_path_label` per path,
+    or no labels when some path has none or two coincide."""
+
+    word: tuple[Atom, ...]
+    chain: tuple[FiniteSet, ...]
+    t: int
+    s: int
+
+    def __call__(self) -> Optional[tuple[str, ...]]:
+        labels = []
+        for p in _word_paths_cached(self.word, self.chain, self.t, self.s):
+            lab = _path_label(self.word, self.chain, self.t, self.s, p)
+            if lab is None:
+                return None
+            labels.append(lab)
+        if len(set(labels)) != len(labels):
+            return None
+        return tuple(labels)
 
 
 def scalar_one_cell(fiber: FiniteSet | int) -> OneCell:
@@ -325,23 +329,19 @@ def hcompose_one(a: OneCell, b: OneCell) -> OneCell:
         )
     word = a.word + b.word
     chain = a.chain[:-1] + b.chain
+    sizes = _size_matrix(b) @ _size_matrix(a)
     fibers = tuple(
         tuple(
-            _composite_fiber_set(word, chain, u, s) for s in range(a.src.size)
+            FiniteSet(int(sizes[u, s]), _PathLabels(word, chain, u, s))
+            for s in range(a.src.size)
         )
         for u in range(b.dst.size)
     )
     return OneCell(a.src, b.dst, fibers, word=word, chain=chain)
 
 
-def _split_path(path: Path, a_word_len: int) -> tuple[Path, int, Path]:
-    """Split a composite path at the junction after ``a_word_len`` atoms."""
-    # path = (e1, m1, e2, m2, ..., en); atom k contributes (m_{k-1}, e_k)
-    cut = 2 * a_word_len - 1
-    a_part = path[:cut]
-    junction = path[cut]
-    b_part = path[cut + 1 :]
-    return a_part, junction, b_part
+def _size_matrix(a: OneCell) -> np.ndarray:
+    return np.array(a.fiber_sizes(), dtype=np.int64).reshape(a.dst.size, a.src.size)
 
 
 def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
@@ -350,6 +350,8 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     Component (u, s) relates composite paths block-wise over the shared
     middle value: the alpha part acts on the inner leg, the beta part on the
     outer leg, and paths through different middle values are unrelated.
+    The block at middle value t is the Kronecker product
+    ``beta.component(u, t) (x) alpha.component(t, s)``.
     """
     if alpha.domain.dst.size != beta.domain.src.size:
         raise ShapeError(
@@ -361,21 +363,19 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     mid = alpha.domain.dst.size
 
     def component(u: int, s: int) -> Rel:
-        in_paths = domain.paths(u, s)
-        out_paths = codomain.paths(u, s)
-        bits = np.zeros((len(out_paths), len(in_paths)), dtype=bool)
+        dom, cod = domain.fiber(u, s), codomain.fiber(u, s)
+        bits = np.zeros((cod.size, dom.size), dtype=bool)
         if bits.size:
-            in_ranks = _junction_ranks(alpha.domain, beta.domain, u, s, in_paths, mid)
-            out_ranks = _junction_ranks(
-                alpha.codomain, beta.codomain, u, s, out_paths, mid
-            )
-            for i, (t_o, ao, bo) in enumerate(out_ranks):
-                arel = alpha.component(t_o, s)
-                brel = beta.component(u, t_o)
-                for j, (t_i, ai, bi) in enumerate(in_ranks):
-                    if t_i == t_o:
-                        bits[i, j] = arel.bits[ao, ai] and brel.bits[bo, bi]
-        return Rel(domain.fiber(u, s), codomain.fiber(u, s), bits)
+            t_in = _junctions(alpha.domain, beta.domain, u, s)
+            t_out = _junctions(alpha.codomain, beta.codomain, u, s)
+            for t in range(mid):
+                rows = np.flatnonzero(t_out == t)
+                cols = np.flatnonzero(t_in == t)
+                if rows.size and cols.size:
+                    bits[np.ix_(rows, cols)] = product_rel(
+                        beta.component(u, t), alpha.component(t, s)
+                    ).bits
+        return Rel(dom, cod, bits)
 
     components = tuple(
         tuple(component(u, s) for s in range(domain.src.size))
@@ -384,33 +384,29 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     return TwoCell(domain, codomain, components)
 
 
-def _junction_ranks(
-    a_cell: OneCell,
-    b_cell: OneCell,
-    u: int,
-    s: int,
-    paths: Sequence[Path],
-    mid: int,
-) -> list[tuple[int, int, int]]:
-    """Decompose composite paths into (middle value, a-rank, b-rank)."""
-    a_len = len(a_cell.word)
-    b_len = len(b_cell.word)
-    a_rank_cache = {
-        t: {p: i for i, p in enumerate(a_cell.paths(t, s))} for t in range(mid)
-    }
-    b_rank_cache = {
-        t: {p: i for i, p in enumerate(b_cell.paths(u, t))} for t in range(mid)
-    }
-    out = []
-    for p in paths:
-        if a_len == 0:
-            t, a_part, b_part = s, (), p
-        elif b_len == 0:
-            t, a_part, b_part = u, p, ()
-        else:
-            a_part, t, b_part = _split_path(p, a_len)
-        out.append((t, a_rank_cache[t][a_part], b_rank_cache[t][b_part]))
-    return out
+def _junctions(a_cell: OneCell, b_cell: OneCell, u: int, s: int) -> np.ndarray:
+    """The middle value of each ranked path of composite fiber (u, s).
+
+    A composite path read from the last-applied end is its b-part, then
+    the middle value t, then its a-part; so paths are ordered by b-path,
+    then t, then a-rank.  In particular the paths through one middle value
+    t are ordered by b-rank, then a-rank: exactly the Kronecker order of
+    (b-fiber (u, t)) x (a-fiber (t, s)).
+    """
+    if not a_cell.word:  # an identity: every path passes through s
+        return np.full(b_cell.fiber(u, s).size, s)
+    if not b_cell.word:
+        return np.full(a_cell.fiber(u, s).size, u)
+    runs = sorted(
+        (b_path[::-1], t, a_cell.fiber(t, s).size)
+        for t in range(a_cell.dst.size)
+        if a_cell.fiber(t, s).size
+        for b_path in b_cell.paths(u, t)
+    )
+    return np.repeat(
+        np.array([t for _, t, _ in runs], dtype=np.intp),
+        [n for _, _, n in runs],
+    )
 
 
 def tensor_one(a: OneCell, b: OneCell) -> OneCell:

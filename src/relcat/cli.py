@@ -29,7 +29,12 @@ DEFAULT_DH_CAP = 13
 
 def _budget() -> int:
     raw = os.environ.get("RELCAT_BUDGET")
-    return int(raw) if raw else search.DEFAULT_BUDGET
+    if not raw:
+        return search.DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"RELCAT_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _emit_json(payload: dict, stream) -> None:
@@ -139,10 +144,10 @@ def cmd_verify_otp(args) -> int:
         results[which] = protocols.check_security(inst, which)
     notes: dict[str, str] = {}
     try:
-        _, inv = protocols.derive_decryption_inverse(inst)
+        dinv, inv = protocols.derive_decryption_inverse(inst)
         results["decryption_invertible"] = inv
         results["encryption_rebuilt_from_inverse"] = (
-            protocols.rebuild_encryption(inst)
+            protocols.rebuild_encryption(inst, (dinv, inv))
         )
     except protocols.PreconditionError as exc:
         results["decryption_invertible"] = protocols.EquationVerdict(
@@ -161,7 +166,9 @@ def cmd_verify_otp(args) -> int:
         results["encryption_not_invertible"] = protocols.EquationVerdict(
             "encryption_not_invertible", False, str(exc)
         )
-    implications = protocols.security_implications(inst)
+    implications = protocols.ImplicationReport.from_verdicts(
+        *(results[which] for which in ("S1", "S2", "S3", "S4"))
+    )
 
     all_pass = all(v.holds for v in results.values()) and (
         implications.implication_holds
@@ -292,13 +299,15 @@ def cmd_enumerate(args) -> int:
 def cmd_theorems(args) -> int:
     try:
         sizes = _parse_sizes(args.sizes)
+        if args.samples < 0:
+            raise ValueError(f"--samples must not be negative, got {args.samples}")
+        spec = search.SearchSpec(*sizes, budget=_budget())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.samples:
         report = search.sample_candidates(sizes, args.samples, seed=args.seed)
     else:
-        spec = search.SearchSpec(*sizes, budget=_budget())
         try:
             report = search.verify_theorems(spec, threads=args.threads)
         except search.BudgetExceeded as exc:

@@ -344,16 +344,24 @@ class ImplicationReport:
     vacuous: bool
     implication_holds: bool
 
+    @staticmethod
+    def from_verdicts(
+        s1: EquationVerdict,
+        s2: EquationVerdict,
+        s3: EquationVerdict,
+        s4: EquationVerdict,
+    ) -> ImplicationReport:
+        """Test that S1 forces the rest, given the four verdicts."""
+        vacuous = not s1.holds
+        implication = vacuous or (s2.holds and s3.holds and s4.holds)
+        return ImplicationReport(s1, s2, s3, s4, vacuous, implication)
+
 
 def security_implications(inst: ProtocolInstance) -> ImplicationReport:
     """Evaluate S1 through S4 independently and test that S1 forces the rest."""
-    s1 = check_security(inst, "S1")
-    s2 = check_security(inst, "S2")
-    s3 = check_security(inst, "S3")
-    s4 = check_security(inst, "S4")
-    vacuous = not s1.holds
-    implication = vacuous or (s2.holds and s3.holds and s4.holds)
-    return ImplicationReport(s1, s2, s3, s4, vacuous, implication)
+    return ImplicationReport.from_verdicts(
+        *(check_security(inst, which) for which in ("S1", "S2", "S3", "S4"))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +426,19 @@ def derive_decryption_inverse(
     return dinv, verdict
 
 
-def rebuild_encryption(inst: ProtocolInstance) -> EquationVerdict:
+def rebuild_encryption(
+    inst: ProtocolInstance,
+    derived: Optional[tuple[TwoCell, EquationVerdict]] = None,
+) -> EquationVerdict:
     """Reassemble encryption from the decryption inverse.
 
     Create a fresh public value, run the inverse on the plaintext against
     it, and verify the resulting key against the incoming key wire; what
-    survives is exactly encrypt-then-publish.
+    survives is exactly encrypt-then-publish.  ``derived`` is what
+    `derive_decryption_inverse` returned for ``inst``, when the caller has
+    it already.
     """
-    dinv, inv_verdict = derive_decryption_inverse(inst)
+    dinv, inv_verdict = derived or derive_decryption_inverse(inst)
     if not inv_verdict.holds:
         raise PreconditionError(
             f"reconstruction requires an invertible decryption; "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,40 +37,93 @@ __all__ = [
 ]
 
 SetLike = Union["FiniteSet", int]
+LabelRecipe = Callable[[], Optional[tuple[str, ...]]]
 
 
 class ShapeError(ValueError):
     """Sizes of the sets involved in an operation do not line up."""
 
 
-@dataclass(frozen=True)
 class FiniteSet:
     """A finite carrier; its elements are the indices ``0 .. size-1``.
 
     ``labels`` are optional display names, one per element.  All algebra is
-    done on indices; labels are for reporting only and never affect equality.
+    done on indices; labels are for reporting only.  They are given either
+    as a tuple or as a recipe: a hashable callable returning the tuple (or
+    None).  Product sets and composite fibers carry recipes, so their labels
+    are computed the first time `labels` or `label` is read, in practice
+    only when a difference is described.  Two sets are equal when their
+    sizes and their label tuples or recipes are equal; comparing or hashing
+    a set never computes its labels.
     """
 
-    size: int
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("size", "_labels", "_recipe", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"set size must be non-negative, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise ValueError(
-                    f"{len(labels)} labels for a set of size {self.size}"
-                )
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be pairwise distinct")
+    def __init__(
+        self, size: int, labels: Union[Sequence[str], LabelRecipe, None] = None
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"set size must be non-negative, got {size}")
+        recipe = None
+        if callable(labels):
+            recipe, labels = labels, None
+        elif labels is not None:
+            labels = self._checked(size, labels)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_recipe", recipe)
+        object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _checked(size: int, labels: Sequence[str]) -> tuple[str, ...]:
+        labels = tuple(labels)
+        if len(labels) != size:
+            raise ValueError(f"{len(labels)} labels for a set of size {size}")
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels must be pairwise distinct")
+        return labels
+
+    @property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        if self._recipe is not None and self._labels is None:
+            labels = self._recipe()
+            if labels is not None:
+                object.__setattr__(self, "_labels", self._checked(self.size, labels))
+        return self._labels
+
+    def _unlabelled(self) -> bool:
+        """True when the set is known to have no labels, without computing any."""
+        return self._labels is None and self._recipe is None
+
+    def _key(self):
+        return (self.size, self._recipe if self._recipe is not None else self._labels)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, FiniteSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteSet is immutable")
+
+    def __reduce__(self):
+        return (FiniteSet, (self.size, self._recipe or self._labels))
+
+    def __repr__(self) -> str:
+        return f"FiniteSet(size={self.size}, labels={self.labels!r})"
 
     def label(self, i: int) -> str:
         if not 0 <= i < self.size:
             raise IndexError(f"element {i} outside set of size {self.size}")
-        return self.labels[i] if self.labels is not None else str(i)
+        labels = self.labels
+        return labels[i] if labels is not None else str(i)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.size))
@@ -86,14 +139,28 @@ def as_finite_set(s: SetLike) -> FiniteSet:
 
 
 def product_set(a: SetLike, b: SetLike) -> FiniteSet:
-    """Cartesian product, encoded mixed-radix with the left factor high."""
+    """Cartesian product, encoded mixed-radix with the left factor high.
+
+    Pairs are labelled ``(x,y)`` when both factors are labelled; the labels
+    are built when first read.
+    """
     a, b = as_finite_set(a), as_finite_set(b)
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = tuple(
-            f"({a.label(x)},{b.label(y)})" for x in a for y in b
-        )
-    return FiniteSet(a.size * b.size, labels)
+    if a._unlabelled() or b._unlabelled():
+        return FiniteSet(a.size * b.size)
+    return FiniteSet(a.size * b.size, _PairLabels(a, b))
+
+
+@dataclass(frozen=True)
+class _PairLabels:
+    """Label recipe of a product set."""
+
+    a: FiniteSet
+    b: FiniteSet
+
+    def __call__(self) -> Optional[tuple[str, ...]]:
+        if self.a.labels is None or self.b.labels is None:
+            return None
+        return tuple(f"({x},{y})" for x in self.a.labels for y in self.b.labels)
 
 
 def pair_index(a: FiniteSet, b: FiniteSet, x: int, y: int) -> int:
@@ -188,18 +255,28 @@ def identity(s: SetLike) -> Rel:
     return Rel(s, s, np.eye(s.size, dtype=bool))
 
 
+# Above this many multiply-adds a float32 BLAS product beats numpy's
+# boolean matmul, which runs a plain loop; below it the casts cost more.
+_BOOL_MATMUL_MAX_WORK = 4096
+
+
 def compose(r: Rel, s: Rel) -> Rel:
     """Relational composition: first ``r``, then ``s``.
 
     ``(a, c)`` holds iff some ``b`` has ``(a, b)`` in ``r`` and ``(b, c)``
-    in ``s``; computed as a boolean matrix product.
+    in ``s``; computed as a boolean matrix product.  Large products go
+    through float32 BLAS, which is exact here: every term is a 0/1
+    product, so a sum is positive exactly when some term is one.
     """
     if r.dst.size != s.src.size:
         raise ShapeError(
             f"cannot compose: middle sets have sizes {r.dst.size} and "
             f"{s.src.size}"
         )
-    bits = (s.bits.astype(np.int32) @ r.bits.astype(np.int32)) > 0
+    if s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
+        bits = s.bits @ r.bits
+    else:
+        bits = (s.bits.astype(np.float32) @ r.bits.astype(np.float32)) > 0
     return Rel(r.src, s.dst, bits)
 
 

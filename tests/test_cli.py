@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from relcat import protocols
 from relcat.cli import main
 
 SPEC_DIR = os.path.join(
@@ -75,6 +77,38 @@ class TestVerifyOtp:
     def test_invalid_group(self, capsys):
         assert main(["verify-otp", "--group", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_each_derivation_runs_once(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("derive_decryption_inverse", "check_security"):
+
+            def counted(*args, _name=name, _call=getattr(protocols, name)):
+                calls[(_name, *args[1:])] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(protocols, name, counted)
+        assert main(["verify-otp", "--group", "3"]) == 0
+        assert calls[("derive_decryption_inverse",)] == 1
+        assert [calls[("check_security", w)] for w in ("S2", "S3", "S4")] == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "stem",
+        [
+            "otp_broken_decryption",
+            "instance_twisted_pad",
+            "otp_labelled_extra_decryption",
+        ],
+    )
+    def test_json_output_is_pinned(self, capsys, monkeypatch, stem):
+        # run from the data directory so the reported source path is stable
+        monkeypatch.chdir(DATA_DIR)
+        with open(
+            os.path.join("golden", f"verify_otp_{stem}.json"), "r", encoding="utf-8"
+        ) as handle:
+            want = handle.read()
+        code = main(["verify-otp", "--file", f"{stem}.rcat", "--format", "json"])
+        assert capsys.readouterr().out == want
+        assert code == (0 if json.loads(want)["status"] == "pass" else 1)
 
 
 class TestVerifyDh:
@@ -223,6 +257,24 @@ class TestTheorems:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["sampled"] == 2000
+
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (["--sizes", "0,2,2"], None),
+            (["--sizes", "0,2,2", "--samples", "3"], None),
+            (["--sizes", "2,2,2"], "abc"),
+            (["--sizes", "2,2,2", "--samples", "-5"], None),
+        ],
+    )
+    def test_usage_errors(self, capsys, monkeypatch, argv, budget):
+        if budget is not None:
+            monkeypatch.setenv("RELCAT_BUDGET", budget)
+        assert main(["theorems", "--threads", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestConsoleScript:

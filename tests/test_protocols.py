@@ -1,5 +1,6 @@
 import pytest
 
+from relcat import cells
 from relcat.cells import equal, hcompose_two, identity_two_cell, vcompose
 from relcat.generators import (
     ControlledOp,
@@ -82,6 +83,13 @@ class TestCorrectness:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_group_instances(self, n):
         assert check_correctness(group_instance(n)).holds
+
+    def test_passing_check_builds_no_fiber_labels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a passing check built a composite-fiber label")
+
+        monkeypatch.setattr(cells, "_path_label", refuse)
+        assert check_correctness(group_instance(4)).holds
 
     def test_both_forms_agree_on_good_and_broken(self):
         for inst in (

@@ -1,8 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcat import relations
 from relcat.relations import (
     FiniteSet,
     Permutation,
@@ -63,6 +66,29 @@ class TestFiniteSet:
         assert p.size == 6
         assert p.label(1 * 3 + 2) == "(y,c)"
 
+    def test_label_recipe_runs_when_labels_are_first_read(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class Recipe:
+            def __call__(self):
+                calls.append(1)
+                return ("a", "b")
+
+        s, t = FiniteSet(2, Recipe()), FiniteSet(2, Recipe())
+        assert s == t and hash(s) == hash(t) and {s: 0}[t] == 0
+        assert calls == []
+        assert s.label(1) == "b" and s.labels == ("a", "b")
+        assert calls == [1]
+
+    def test_equal_sets_have_equal_labels(self):
+        xy, ab = FiniteSet(2, ("x", "y")), FiniteSet(2, ("a", "b"))
+        assert xy != ab and FiniteSet(2) != xy
+        assert product_set(xy, ab) == product_set(FiniteSet(2, ("x", "y")), ab)
+        assert product_set(xy, ab) != product_set(ab, xy)
+        assert product_set(xy, FiniteSet(3)) == FiniteSet(6)
+        assert product_set(xy, FiniteSet(3)).labels is None
+
 
 class TestMake:
     def test_empty(self):
@@ -83,7 +109,32 @@ class TestMake:
             make(2, 2, [(2, 0)])
 
 
+def _compose_pairs(r: Rel, s: Rel) -> set:
+    onward: dict = {}
+    for b, c in s.pairs():
+        onward.setdefault(b, set()).add(c)
+    return {(a, c) for a, b in r.pairs() for c in onward.get(b, ())}
+
+
 class TestCompose:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blas=st.booleans(),
+        density=st.sampled_from([0.02, 0.3, 0.9]),
+        data=st.data(),
+    )
+    def test_matches_pair_sets_on_both_sides_of_blas_threshold(
+        self, blas, density, data
+    ):
+        limit = relations._BOOL_MATMUL_MAX_WORK
+        lo, hi = (17, 24) if blas else (0, 8)
+        a, b, c = (data.draw(st.integers(lo, hi)) for _ in range(3))
+        assert (a * b * c > limit) == blas
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        r = Rel(a, b, rng.random((b, a)) < density)
+        s = Rel(b, c, rng.random((c, b)) < density)
+        assert set(compose(r, s).pairs()) == _compose_pairs(r, s)
+
     def test_identity_neutral(self, builder):
         for _ in range(20):
             a, b = builder.finite_set(1), builder.finite_set(1)
