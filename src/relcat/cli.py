@@ -25,6 +25,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_DH_CAP = 13
+THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 
 def _budget() -> int:
@@ -38,8 +39,7 @@ def _budget() -> int:
 
 
 def _emit_json(payload: dict, stream) -> None:
-    json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
-    stream.write("\n")
+    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def cmd_verify_otp(args) -> int:
         )
     try:
         results["encryption_not_invertible"] = (
-            protocols.check_encryption_not_invertible(inst)
+            protocols.check_encryption_not_invertible(inst, results["S1"])
         )
         if inst.plaintexts.size <= 1:
             notes["encryption_not_invertible"] = (
@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dh.set_defaults(func=cmd_verify_dh)
 
     p_enum = sub.add_parser(
-        "enumerate", help="stream all implementations at given sizes"
+        "enumerate",
+        help="print all implementations at given sizes once the search finishes",
     )
     p_enum.add_argument("--sizes", required=True, metavar="P,K,C")
     p_enum.add_argument(
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of correctness,S1,S2,S3,S4",
     )
     p_enum.add_argument("--dedup", action="store_true")
-    p_enum.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_enum.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_enum.add_argument(
         "--timings", action="store_true", help="include wall-clock time in the summary"
     )
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample this many candidates instead of exhausting the space",
     )
     p_thm.add_argument("--seed", type=int, default=0)
-    p_thm.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_thm.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     add_format(p_thm)
     p_thm.set_defaults(func=cmd_theorems)
 

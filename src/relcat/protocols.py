@@ -503,9 +503,14 @@ def _two_sided_inverse_exists(e: Rel) -> bool:
     return False
 
 
-def check_encryption_not_invertible(inst: ProtocolInstance) -> EquationVerdict:
-    """Encryption admits no relational inverse unless messages are trivial."""
-    s1 = check_security(inst, "S1")
+def check_encryption_not_invertible(
+    inst: ProtocolInstance, s1: Optional[EquationVerdict] = None
+) -> EquationVerdict:
+    """Encryption admits no relational inverse unless messages are trivial.
+
+    ``s1`` is `check_security(inst, "S1")`, when the caller has it already.
+    """
+    s1 = s1 or check_security(inst, "S1")
     if not s1.holds:
         raise PreconditionError(
             "non-invertibility is asserted under the key-deletion property; "

@@ -2,9 +2,12 @@
 
 Candidates range over every pad cup (one per permutation of the key set),
 every per-ciphertext decryption relation, and every encryption relation.
-Constraint checks in the hot loop run on the same relation kernel the cell
-evaluator delegates to; records are emitted in increasing order of the
-(encrypt, decrypt, pad) bit codes, so runs are reproducible byte for byte.
+Decryption is controlled by the ciphertext, so every constraint splits
+into one condition per ciphertext; the search solves the one-ciphertext
+problem on the same relation kernel the cell evaluator delegates to and
+assembles the solutions as per-ciphertext products.  Records are emitted
+in increasing order of the (encrypt, decrypt, pad) bit codes, so runs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -130,11 +132,10 @@ class SolutionRecord:
 
     def to_json(self) -> dict:
         p, k, c = self.sizes
-        e, ds, _ = self.relations()
         out = {
             "sizes": list(self.sizes),
-            "encrypt": _rows(e),
-            "decrypt": [_rows(d) for d in ds],
+            "encrypt": _rows(self.encrypt_code, p * k, c),
+            "decrypt": [_rows(code, k, p) for code in self.decrypt_codes],
             "pad": list(self.pad_mapping),
             "verdicts": dict(sorted(self.verdicts.items())),
         }
@@ -148,8 +149,10 @@ class SolutionRecord:
         return out
 
 
-def _rows(r: Rel) -> list[str]:
-    return ["".join("1" if b else "0" for b in row) for row in r.bits]
+def _rows(code: int, n_src: int, n_dst: int) -> list[str]:
+    """Matrix rows of the relation with this bit code, as 0/1 strings."""
+    bits = format(code, f"0{n_src * n_dst}b")
+    return [bits[i * n_src : (i + 1) * n_src] for i in range(n_dst)]
 
 
 class _FastChecker:
@@ -208,65 +211,64 @@ class _FastChecker:
         )
 
 
-def enumerate_shard(
-    spec: SearchSpec, shard: Optional[int] = None
-) -> list[SolutionRecord]:
-    """Enumerate solutions, optionally restricted to encryption relations
-    whose first matrix row equals the shard index."""
+def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
+    """Enumerate solutions as per-ciphertext products.
+
+    Decryption is controlled by the ciphertext, so ``decrypt_step`` is
+    block-diagonal over C, and so is ``rhs_correct = create_c (x) id_p``:
+    correctness holds iff ``after_c ; d_c = id_P`` on each ciphertext
+    block ``after_c`` of ``after``, which reads row c of the encryption
+    alone.  S1 holds iff it holds on each block of ``after``; S2 and S3
+    read one row of the encryption at a time, and S4 one ``d_c``.  So for
+    a fixed pad the solutions at (p, k, c) are the c-fold product of those
+    at (p, k, 1).  The one-ciphertext problem is solved once, as a table
+    of passing decryption codes per (encryption row, pad), and products of
+    its entries are emitted ascending on (encrypt, decrypt, pad).
+    """
     p, k, c = spec.sizes
-    checker = _FastChecker(spec)
-    perms = list(Permutation.all(FiniteSet(k)))
-    pad_steps = [checker.pad_step(perm) for perm in perms]
-    pk = p * k
-    e_src = product_set(checker.p_set, checker.k_set)
-
-    decrypt_cache: list[tuple[tuple[int, ...], list[Rel], Rel, bool]] = []
-    per = 1 << (k * p)
-    for codes in itertools.product(range(per), repeat=c):
-        ds = [
-            relation_from_code(checker.k_set, checker.p_set, code)
-            for code in codes
-        ]
-        decrypt_cache.append(
-            (codes, ds, checker.decrypt_step(ds), checker.s4(ds))
-        )
-
     need = spec.constraints
-    out: list[SolutionRecord] = []
-    if shard is None:
-        e_codes: Iterator[int] = iter(range(1 << (pk * c)))
-    else:
-        rest_bits = pk * (c - 1)
-        e_codes = iter(
-            shard << rest_bits | low for low in range(1 << rest_bits)
-        )
-    for e_code in e_codes:
-        e = relation_from_code(e_src, checker.c_set, e_code)
-        s2_ok = checker.s2(e) if "S2" in need else True
-        s3_ok = checker.s3(e) if "S3" in need else True
-        if not (s2_ok and s3_ok):
+    one = _FastChecker(SearchSpec(p, k, 1, need))
+    perms = list(Permutation.all(one.k_set))
+    pad_steps = [one.pad_step(perm) for perm in perms]
+    decrypts = []
+    for code in range(1 << (k * p)):
+        d = relation_from_code(one.k_set, one.p_set, code)
+        if "S4" not in need or one.s4([d]):
+            decrypts.append((code, one.decrypt_step([d])))
+
+    table: dict[int, list[tuple[int, ...]]] = {}
+    e_src = product_set(one.p_set, one.k_set)
+    for row in range(1 << (p * k)):
+        e = relation_from_code(e_src, one.c_set, row)
+        if ("S2" in need and not one.s2(e)) or ("S3" in need and not one.s3(e)):
             continue
-        per_pad = []
+        passing = []
         for pad_step in pad_steps:
-            after = compose(pad_step, product(e, checker.id_k))
-            s1_ok = checker.s1(after) if "S1" in need else True
-            per_pad.append((after, s1_ok))
-        for d_codes, ds, d_step, s4_ok in decrypt_cache:
-            if "S4" in need and not s4_ok:
+            after = compose(pad_step, product(e, one.id_k))
+            if "S1" in need and not one.s1(after):
+                passing.append(())
                 continue
-            for perm, (after, s1_ok) in zip(perms, per_pad):
-                if not s1_ok:
-                    continue
-                if "correctness" in need and not checker.correctness(
-                    after, d_step
-                ):
-                    continue
-                verdicts = {name: True for name in sorted(need)}
-                out.append(
-                    SolutionRecord(
-                        spec.sizes, e_code, d_codes, perm.mapping, verdicts
-                    )
-                )
+            passing.append(tuple(
+                code for code, d_step in decrypts
+                if "correctness" not in need or one.correctness(after, d_step)
+            ))
+        if any(passing):
+            table[row] = passing
+
+    out: list[SolutionRecord] = []
+    for e_rows in itertools.product(sorted(table), repeat=c):
+        e_code = 0
+        for row in e_rows:
+            e_code = e_code << (p * k) | row
+        for d_codes, i in sorted(
+            (d_codes, i)
+            for i in range(len(perms))
+            for d_codes in itertools.product(*(table[r][i] for r in e_rows))
+        ):
+            verdicts = {name: True for name in sorted(need)}
+            out.append(SolutionRecord(
+                spec.sizes, e_code, d_codes, perms[i].mapping, verdicts
+            ))
     return out
 
 
@@ -276,21 +278,14 @@ def enumerate_solutions(
     """All candidate triples satisfying the requested constraints.
 
     Emission order is ascending on (encrypt bits, decrypt bits, pad); the
-    candidate space is refused outright when it exceeds the budget.  With
-    more than one thread the space is sharded by the first matrix row of
-    the encryption relation and merged back in shard order.
+    candidate space is refused outright when it exceeds the budget.  The
+    search runs in one process whatever ``threads`` says: the factorised
+    enumerator does less work than it would take to start a second one.
     """
     count = candidate_count(spec)
     if count > spec.budget:
         raise BudgetExceeded(count, spec.budget)
-    p, k, c = spec.sizes
-    if threads <= 1 or c < 2:
-        records = enumerate_shard(spec)
-    else:
-        shards = list(range(1 << (p * k)))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(enumerate_shard, itertools.repeat(spec), shards)
-            records = [rec for chunk in chunks for rec in chunk]
+    records = enumerate_shard(spec)
     if spec.dedup:
         records = dedup_records(records)
     return records
@@ -397,7 +392,7 @@ def _check_theorems_on(
         )
     if inst.plaintexts.size > 1:
         try:
-            verdict = protocols.check_encryption_not_invertible(inst)
+            verdict = protocols.check_encryption_not_invertible(inst, report.s1)
             if not verdict.holds:
                 counterexamples.append(f"{label}: {verdict.witness}")
         except protocols.PreconditionError:
@@ -450,11 +445,13 @@ def sample_candidates(
     spec = SearchSpec(p, k, c, budget=2**62)
     checker = _FastChecker(spec)
     perms = list(Permutation.all(FiniteSet(k)))
+    pad_steps = [checker.pad_step(perm) for perm in perms]
     counterexamples: list[str] = []
     solutions = 0
     with_s1 = 0
     for i in range(count):
-        perm = perms[rng.randrange(len(perms))]
+        pad = rng.randrange(len(perms))
+        perm = perms[pad]
         if i % 2 == 0:
             d_codes = tuple(
                 rng.getrandbits(k * p) for _ in range(c)
@@ -481,7 +478,7 @@ def sample_candidates(
             sizes, e_code, d_codes, perm.mapping, {"correctness": True}
         )
         e, ds, _ = record.relations()
-        after = compose(checker.pad_step(perm), product(e, checker.id_k))
+        after = compose(pad_steps[pad], product(e, checker.id_k))
         if not checker.correctness(after, checker.decrypt_step(ds)):
             continue
         solutions += 1

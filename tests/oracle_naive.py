@@ -72,6 +72,30 @@ def s1_holds(p: int, k: int, c: int, enc: frozenset, pad: tuple) -> bool:
     )
 
 
+def s2_holds(p: int, k: int, c: int, enc: frozenset) -> bool:
+    """Each message reaches every ciphertext under some key."""
+    return all(
+        any(cc in image(enc, (x, key)) for key in range(k))
+        for x in range(p)
+        for cc in range(c)
+    )
+
+
+def s3_holds(p: int, k: int, c: int, enc: frozenset) -> bool:
+    """Each key reaches every ciphertext under some message."""
+    return all(
+        any(cc in image(enc, (x, key)) for x in range(p))
+        for key in range(k)
+        for cc in range(c)
+    )
+
+
+def s4_holds(p: int, dec: list[frozenset]) -> bool:
+    """Under every ciphertext, decrypting a freshly created key reaches
+    every message: the image of each decryption block is all of P."""
+    return all({y for _, y in d} == set(range(p)) for d in dec)
+
+
 def enumerate_triples(p: int, k: int, c: int, constraints=("correctness",)):
     """All (encrypt code, decrypt codes, pad mapping) triples satisfying the
     constraints, ascending."""
@@ -95,6 +119,12 @@ def enumerate_triples(p: int, k: int, c: int, constraints=("correctness",)):
                         ok = correctness_holds(p, k, c, enc, dec, pad)
                     elif name == "S1":
                         ok = s1_holds(p, k, c, enc, pad)
+                    elif name == "S2":
+                        ok = s2_holds(p, k, c, enc)
+                    elif name == "S3":
+                        ok = s3_holds(p, k, c, enc)
+                    elif name == "S4":
+                        ok = s4_holds(p, dec)
                     else:
                         raise ValueError(name)
                     if not ok:

@@ -89,7 +89,9 @@ class TestVerifyOtp:
             monkeypatch.setattr(protocols, name, counted)
         assert main(["verify-otp", "--group", "3"]) == 0
         assert calls[("derive_decryption_inverse",)] == 1
-        assert [calls[("check_security", w)] for w in ("S2", "S3", "S4")] == [1, 1, 1]
+        assert [
+            calls[("check_security", w)] for w in ("S1", "S2", "S3", "S4")
+        ] == [1, 1, 1, 1]
 
     @pytest.mark.parametrize(
         "stem",
@@ -133,6 +135,32 @@ class TestVerifyDh:
 
     def test_no_erase_fails(self):
         assert main(["verify-dh", "--prime", "3", "--no-erase"]) == 1
+
+
+# stdout of each command, written by the whole-candidate search that the
+# per-ciphertext one replaced
+GOLDEN_SEARCH_RUNS = {
+    "enumerate_2_2_2.jsonl": ["enumerate", "--sizes", "2,2,2"],
+    "enumerate_2_2_2_dedup.jsonl": ["enumerate", "--sizes", "2,2,2", "--dedup"],
+    "enumerate_2_2_2_all.jsonl": [
+        "enumerate", "--sizes", "2,2,2", "--constraints", "correctness,S1,S2,S3,S4"
+    ],
+    "enumerate_1_2_3.jsonl": ["enumerate", "--sizes", "1,2,3"],
+    "theorems_2_2_2.json": ["theorems", "--sizes", "2,2,2", "--format", "json"],
+    "theorems_3_3_3_samples_2000_seed_1.json": [
+        "theorems", "--sizes", "3,3,3", "--samples", "2000", "--seed", "1",
+        "--format", "json",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SEARCH_RUNS))
+def test_search_output_is_pinned(capsys, name):
+    with open(data(os.path.join("golden", name)), "r", encoding="utf-8") as handle:
+        want = handle.read()
+    argv = GOLDEN_SEARCH_RUNS[name]
+    assert main([argv[0], "--threads", "1", *argv[1:]]) == 0
+    assert capsys.readouterr().out == want
 
 
 class TestEnumerate:

@@ -277,6 +277,32 @@ class TestEncryptionNotInvertible:
         with pytest.raises(PreconditionError):
             check_encryption_not_invertible(constant)
 
+    def test_held_primary_security_verdict_gives_the_same_refusal(self):
+        inst = single_bit_instance()
+        constant = ProtocolInstance(
+            inst.plaintexts,
+            inst.keys,
+            inst.ciphertexts,
+            make(4, 2, [(0, 0), (1, 0), (2, 0), (3, 0)]),
+            inst.decrypt,
+            inst.pad,
+        )
+        with pytest.raises(PreconditionError) as fresh:
+            check_encryption_not_invertible(constant)
+        with pytest.raises(PreconditionError) as held:
+            check_encryption_not_invertible(
+                constant, check_security(constant, "S1")
+            )
+        assert str(held.value) == str(fresh.value)
+
+    def test_held_primary_security_verdict_is_used(self, monkeypatch):
+        import relcat.protocols as protocols
+
+        inst = single_bit_instance()
+        s1 = check_security(inst, "S1")
+        monkeypatch.setattr(protocols, "check_security", None)
+        assert check_encryption_not_invertible(inst, s1).holds
+
 
 class TestSecretSharing:
     def test_single_bit_all_equations(self):

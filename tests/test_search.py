@@ -35,6 +35,22 @@ from relcat.search import (
 GOLDEN_CORRECT_222 = 8
 GOLDEN_CORRECT_S1_222 = 8
 GOLDEN_DEDUPED_222 = 4
+# confirmed by relbench/count_synth.py, a per-ciphertext recount that
+# shares no code with relcat
+GOLDEN_CORRECT_223 = 16
+GOLDEN_CORRECT_232 = 13824
+
+CONSTRAINT_SETS_SMALL = [
+    frozenset(sub)
+    for n in range(6)
+    for sub in itertools.combinations(("correctness", "S1", "S2", "S3", "S4"), n)
+]
+CONSTRAINT_SETS_222 = [
+    frozenset({"correctness"}),
+    frozenset({"S1"}),
+    frozenset({"S2", "S3", "S4"}),
+    frozenset({"correctness", "S1", "S2", "S3", "S4"}),
+]
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +70,34 @@ class TestEnumerate:
     def test_oracle_agreement_byte_for_byte(self, solutions_222):
         oracle = oracle_naive.enumerate_triples(2, 2, 2, ("correctness",))
         assert [r.triple() for r in solutions_222] == oracle
+
+    @pytest.mark.parametrize(
+        "sizes, constraints",
+        [
+            (sizes, constraints)
+            for sizes in ((1, 2, 2), (2, 1, 2), (1, 2, 3))
+            for constraints in CONSTRAINT_SETS_SMALL
+        ]
+        + [((2, 2, 2), constraints) for constraints in CONSTRAINT_SETS_222],
+        ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else
+        "+".join(sorted(x)) or "none",
+    )
+    def test_oracle_agreement_per_constraint_set(self, sizes, constraints):
+        # sorted() checks S1-S4 before correctness, the cheap ones first
+        oracle = oracle_naive.enumerate_triples(*sizes, tuple(sorted(constraints)))
+        records = enumerate_solutions(SearchSpec(*sizes, constraints=constraints))
+        assert [r.triple() for r in records] == oracle
+        assert all(r.verdicts == dict.fromkeys(sorted(constraints), True) for r in records)
+
+    @pytest.mark.parametrize(
+        "sizes, golden",
+        [((2, 2, 3), GOLDEN_CORRECT_223), ((2, 3, 2), GOLDEN_CORRECT_232)],
+    )
+    def test_golden_count_beyond_the_whole_candidate_loop(self, sizes, golden):
+        records = enumerate_solutions(SearchSpec(*sizes))
+        assert len(records) == golden
+        triples = [r.triple() for r in records]
+        assert triples == sorted(set(triples))
 
     def test_contains_single_bit_instance(self, solutions_222):
         inst = single_bit_instance()
@@ -271,6 +315,20 @@ class TestTheorems:
         )
         _, verdict = derive_decryption_inverse(inst)
         assert not verdict.holds
+
+    def test_primary_security_decided_once_per_solution(self, monkeypatch):
+        from relcat import protocols
+
+        calls = []
+        check = protocols.check_security
+
+        def counted(inst, which):
+            calls.append(which)
+            return check(inst, which)
+
+        monkeypatch.setattr(protocols, "check_security", counted)
+        report = verify_theorems(SearchSpec(2, 2, 2))
+        assert calls.count("S1") == report.solutions == GOLDEN_CORRECT_222
 
     def test_sampled_fallback(self):
         report = sample_candidates((3, 3, 3), 4000, seed=11)
