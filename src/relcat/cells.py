@@ -351,7 +351,8 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     middle value: the alpha part acts on the inner leg, the beta part on the
     outer leg, and paths through different middle values are unrelated.
     The block at middle value t is the Kronecker product
-    ``beta.component(u, t) (x) alpha.component(t, s)``.
+    ``beta.component(u, t) (x) alpha.component(t, s)``; with a single
+    middle value that block is the whole component.
     """
     if alpha.domain.dst.size != beta.domain.src.size:
         raise ShapeError(
@@ -364,6 +365,9 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
 
     def component(u: int, s: int) -> Rel:
         dom, cod = domain.fiber(u, s), codomain.fiber(u, s)
+        if mid == 1:
+            block = product_rel(beta.component(u, 0), alpha.component(0, s))
+            return Rel(dom, cod, block.bits)
         bits = np.zeros((cod.size, dom.size), dtype=bool)
         if bits.size:
             t_in = _junctions(alpha.domain, beta.domain, u, s)
@@ -375,6 +379,7 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
                     bits[np.ix_(rows, cols)] = product_rel(
                         beta.component(u, t), alpha.component(t, s)
                     ).bits
+        bits.setflags(write=False)
         return Rel(dom, cod, bits)
 
     components = tuple(

@@ -24,7 +24,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-DEFAULT_DH_CAP = 13
+DEFAULT_DH_CAP = 11
 THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 

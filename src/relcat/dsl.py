@@ -526,7 +526,11 @@ class _Parser:
 
 
 def parse(text: str) -> SourceFile:
-    return _Parser(_tokenize(text)).parse_file()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        raise parser.fail("terms nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +542,41 @@ class ElaborationError(ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.line, self.col = line, col
         super().__init__(f"{line}:{col}: {message}" if line else message)
+
+
+# The most bits one dense matrix of a source file may hold.  A bit takes a
+# byte, and a large composition casts its operands to float32 besides.
+MAX_DENSE_BITS = 1 << 28
+
+
+def _refuse_dense(bits: int, line: int, col: int) -> None:
+    """Refuse a cell before it is built when its bit matrices are too large."""
+    if bits > MAX_DENSE_BITS:
+        scale = min(5, (bits.bit_length() - 1) // 10)
+        size = f"{bits / 1024**scale:.1f} {('B KiB MiB GiB TiB PiB').split()[scale]}"
+        raise ElaborationError(
+            f"cell of {bits} dense bits ({size}) exceeds the limit of "
+            f"{MAX_DENSE_BITS}",
+            line,
+            col,
+        )
+
+
+def _dense_bits(domain: OneCell, codomain: OneCell) -> int:
+    """Bits in the component matrices of a two-cell between these one-cells."""
+    return sum(
+        a * b
+        for row_a, row_b in zip(domain.fiber_sizes(), codomain.fiber_sizes())
+        for a, b in zip(row_a, row_b)
+    )
+
+
+# Each builtin on an n-element set holds at most n ** k bits in one matrix,
+# counting the axioms checked while it is built: a cup's snake equations
+# tensor it with a wire, a region's Frobenius check tensors its scalar
+# compare with a wire.
+_BUILTIN_BITS_EXPONENT = {"id": 2, "cup": 4, "cap": 4, "delete": 1, "create": 1}
+_REGION_BITS_EXPONENT = 5
 
 
 @dataclass
@@ -641,6 +680,7 @@ def _build_rel(
     cod_factors = _flatten_type(env, cod)
     src = _type_fiber(env, dom)
     dst = _type_fiber(env, cod)
+    _refuse_dense(src.size * dst.size, where.line, where.col)
     pairs = [
         (
             _encode_tuple(dom_factors, a, where),
@@ -660,6 +700,12 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
         out_f = _flatten_type(env, cod_t)
         in_set = _type_fiber(env, dom_t)
         out_set = _type_fiber(env, cod_t)
+        n = public.size
+        _refuse_dense(
+            max(n**_REGION_BITS_EXPONENT, n * n * in_set.size * out_set.size),
+            call.line,
+            call.col,
+        )
         by_value: dict[int, Rel] = {}
         for key, data in call.blocks:
             v = _resolve_elem(public, key, call)
@@ -691,6 +737,11 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
         return CellBinding(name, typed, cell, controlled=op_data)
     arg = call.type_args[0]
     fiber = _type_fiber(env, arg)
+    _refuse_dense(
+        fiber.size ** _BUILTIN_BITS_EXPONENT.get(op, _REGION_BITS_EXPONENT),
+        call.line,
+        call.col,
+    )
     duality = None
     if op == "id":
         cell = identity_two_cell(_type_one_cell(env, arg))
@@ -746,20 +797,20 @@ def _type_term(env: Env, term: Term) -> TypedTerm:
                 f"{_describe(second.domain)}",
                 *_term_pos(term.second),
             )
-        return TypedTerm(term, first.domain, second.codomain, (first, second))
-    if isinstance(term, HorizTerm):
-        left = _type_term(env, term.left)
-        right = _type_term(env, term.right)
-        dom = hcompose_one(right.domain, left.domain)
-        cod = hcompose_one(right.codomain, left.codomain)
-        return TypedTerm(term, dom, cod, (left, right))
-    if isinstance(term, ParTerm):
-        left = _type_term(env, term.left)
-        right = _type_term(env, term.right)
-        dom = tensor_one(left.domain, right.domain)
-        cod = tensor_one(left.codomain, right.codomain)
-        return TypedTerm(term, dom, cod, (left, right))
-    raise AssertionError(term)
+        children = (first, second)
+        dom, cod = first.domain, second.codomain
+    elif isinstance(term, HorizTerm):
+        children = (_type_term(env, term.left), _type_term(env, term.right))
+        dom = hcompose_one(children[1].domain, children[0].domain)
+        cod = hcompose_one(children[1].codomain, children[0].codomain)
+    elif isinstance(term, ParTerm):
+        children = (_type_term(env, term.left), _type_term(env, term.right))
+        dom = tensor_one(children[0].domain, children[1].domain)
+        cod = tensor_one(children[0].codomain, children[1].codomain)
+    else:
+        raise AssertionError(term)
+    _refuse_dense(_dense_bits(dom, cod), *_term_pos(term))
+    return TypedTerm(term, dom, cod, children)
 
 
 def _term_pos(term: Term) -> tuple[int, int]:
@@ -794,7 +845,12 @@ def elaborate(sf: SourceFile) -> Env:
             env.cells[stmt.name] = _builtin_binding(env, stmt.call, stmt.name)
         elif isinstance(stmt, DefDecl):
             _declare(env, stmt.name, stmt)
-            typed = _type_term(env, stmt.term)
+            try:
+                typed = _type_term(env, stmt.term)
+            except RecursionError:
+                raise ElaborationError(
+                    "term nested too deeply", stmt.line, stmt.col
+                ) from None
             env.cells[stmt.name] = CellBinding(stmt.name, typed)
         elif isinstance(stmt, CheckDecl):
             for name in (stmt.lhs, stmt.rhs):
@@ -842,7 +898,10 @@ def evaluate(env: Env, typed: TypedTerm) -> TwoCell:
 def evaluate_name(env: Env, name: str) -> TwoCell:
     binding = env.cells[name]
     if binding.cell is None:
-        binding.cell = evaluate(env, binding.typed)
+        try:
+            binding.cell = evaluate(env, binding.typed)
+        except RecursionError:
+            raise ElaborationError(f"cell {name!r} is nested too deeply") from None
     return binding.cell
 
 
@@ -900,11 +959,11 @@ def run_source(text: str) -> SourceReport:
     """Parse, elaborate, and run every check statement of a source file."""
     try:
         env = elaborate(parse(text))
+        reports = tuple(
+            check_equation(env, c.lhs, c.rhs) for c in env.checks
+        )
     except (ParseError, ElaborationError) as exc:
         return SourceReport((), str(exc))
-    reports = tuple(
-        check_equation(env, c.lhs, c.rhs) for c in env.checks
-    )
     return SourceReport(reports)
 
 

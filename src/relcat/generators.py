@@ -47,6 +47,7 @@ from relcat.relations import (
     make,
     product,
     product_set,
+    relation_code,
     relation_from_code,
 )
 
@@ -137,9 +138,9 @@ def canonical_cup(s: FiniteSet | int) -> DualityPair:
 def classify_cups(s: FiniteSet | int) -> list[Permutation]:
     """All cups admitting a snake-completing cap, as permutations.
 
-    Enumerates candidate cup/cap pairs by brute force and asserts that every
-    surviving cup is the graph of a permutation.  Sizes above
-    ``MAX_CLASSIFY_SIZE`` are refused.
+    Searches the caps each candidate cup admits and asserts that every
+    surviving cup is the graph of a permutation.  Cups come in increasing
+    bit-code order.  Sizes above ``MAX_CLASSIFY_SIZE`` are refused.
     """
     s = as_finite_set(s)
     if s.size > MAX_CLASSIFY_SIZE:
@@ -147,12 +148,8 @@ def classify_cups(s: FiniteSet | int) -> list[Permutation]:
             f"classification is exhaustive; size {s.size} exceeds the cap "
             f"of {MAX_CLASSIFY_SIZE}"
         )
-    if s.size <= 3:
-        survivors = _classify_by_double_loop(s)
-    else:
-        survivors = _classify_pruned(s)
     out = []
-    for cup in survivors:
+    for cup in sorted(_classify_pruned(s), key=relation_code):
         mapping = [-1] * s.size
         for _, e in cup.pairs():
             x, y = divmod(e, s.size)
@@ -161,31 +158,6 @@ def classify_cups(s: FiniteSet | int) -> list[Permutation]:
             mapping[x] = y
         out.append(Permutation(s, tuple(mapping)))
     return out
-
-
-def _classify_by_double_loop(s: FiniteSet) -> list[Rel]:
-    # Same zig-zag formula as snake_equations_hold, with the per-cup and
-    # per-cap halves hoisted out of the quadratic loop.
-    pair = product_set(s, s)
-    one = FiniteSet(1)
-    n = pair.size
-    wire = identity(s)
-    caps = [relation_from_code(pair, one, code) for code in range(1 << n)]
-    cap_right = [product(wire, cap) for cap in caps]
-    cap_left = [product(cap, wire) for cap in caps]
-    survivors = []
-    for cup_code in range(1 << n):
-        cup = relation_from_code(one, pair, cup_code)
-        cup_left = product(cup, wire)
-        cup_right = product(wire, cup)
-        for j in range(1 << n):
-            if (
-                compose(cup_left, cap_right[j]) == wire
-                and compose(cup_right, cap_left[j]) == wire
-            ):
-                survivors.append(cup)
-                break
-    return survivors
 
 
 def _classify_pruned(s: FiniteSet) -> list[Rel]:

@@ -12,13 +12,10 @@ for bit, reporting a located witness on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Iterator, Optional
 
 from relcat.cells import (
     CellDifference,
-    OneCell,
     TwoCell,
     equal,
     hcompose_one,
@@ -35,8 +32,10 @@ from relcat.cells import (
 from relcat.generators import (
     ControlledOp,
     DualityPair,
+    RegionStructure,
     canonical_cup,
     controlled_at_left_boundary,
+    controlled_at_right_boundary,
     controlled_scalar,
     controlled_scalar_mirror,
     create_cell,
@@ -48,11 +47,7 @@ from relcat.generators import (
 )
 from relcat.relations import (
     FiniteSet,
-    Permutation,
     Rel,
-    all_relations,
-    as_finite_set,
-    compose,
     identity,
     make,
     predicates,
@@ -470,39 +465,6 @@ def rebuild_encryption_from(
     return _verdict("encryption_rebuilt_from_inverse", rebuilt, target)
 
 
-def _two_sided_inverse_exists(e: Rel) -> bool:
-    """Exhaustive search for a relational two-sided inverse.
-
-    Small candidate spaces are searched literally.  Larger ones are pruned
-    by conditions forced by the identity equations: the relation must be
-    total and surjective, and any inverse is contained in the pairs whose
-    preimage and image are single points; the survivors are then verified
-    exactly.
-    """
-    id_src, id_dst = identity(e.src), identity(e.dst)
-    if e.src.size * e.dst.size <= 16:
-        return any(
-            compose(e, r) == id_src and compose(r, e) == id_dst
-            for r in all_relations(e.dst, e.src)
-        )
-    if not (e.bits.any(axis=0).all() and e.bits.any(axis=1).all()):
-        return False
-    allowed = []
-    for c in range(e.dst.size):
-        preim = np.flatnonzero(e.bits[c, :])
-        if len(preim) != 1:
-            continue
-        a = int(preim[0])
-        if e.bits[:, a].sum() == 1:
-            allowed.append((c, a))
-    for mask in range(1 << len(allowed)):
-        pairs = [allowed[i] for i in range(len(allowed)) if mask >> i & 1]
-        r = make(e.dst, e.src, pairs)
-        if compose(e, r) == id_src and compose(r, e) == id_dst:
-            return True
-    return False
-
-
 def check_encryption_not_invertible(
     inst: ProtocolInstance, s1: Optional[EquationVerdict] = None
 ) -> EquationVerdict:
@@ -517,7 +479,8 @@ def check_encryption_not_invertible(
             f"{s1.witness}"
         )
     trivial = inst.plaintexts.size <= 1
-    invertible = _two_sided_inverse_exists(inst.encrypt)
+    # the isomorphisms of Rel are exactly the bijections
+    invertible = predicates(inst.encrypt).is_bijection
     no_inverse = not invertible
     # exactly one of the two: a trivial message space is the only way to
     # be invertible, and a nontrivial one never is
@@ -657,110 +620,79 @@ def dh_instance(q: int, include_identity: bool = False) -> DHInstance:
     return DHInstance(q, elements, exponents, exp_op, base_set)
 
 
-class _AmbientRun:
-    """A composite built layer by layer inside one ambient public region.
-
-    The running cell goes from the region identity to the region with a
-    scalar zone of wires and bubbles between its boundaries.  Region
-    boundaries have singleton fibers, so each zone layer acts on component
-    (t, s) either as itself or as the member of a controlled family chosen
-    by the ambient value at the relevant boundary; layers are composed
-    per component without materializing whiskered cells.
-    """
-
-    def __init__(self, rs) -> None:
-        self.rs = rs
-        g = rs.carrier
-        self.zone = identity_one_cell(FiniteSet(1))
-        self.components = [
-            [rs.copy.component(t, s) for s in range(g.size)] for t in range(g.size)
-        ]
-
-    def _apply(self, rel_for) -> None:
-        g = self.rs.carrier
-        self.components = [
-            [
-                compose(self.components[t][s], rel_for(t, s))
-                for s in range(g.size)
-            ]
-            for t in range(g.size)
-        ]
-
-    def apply_scalar(self, step: TwoCell) -> None:
-        if step.domain.fiber(0, 0).size != self.zone.fiber(0, 0).size:
-            raise ValueError("zone layer does not match the current zone")
-        rel = step.scalar()
-        self._apply(lambda t, s: rel)
-        self.zone = step.codomain
-
-    def apply_family_at_left_boundary(self, zone_family: list[Rel]) -> None:
-        self._apply(lambda t, s: zone_family[t])
-        self.zone = scalar_one_cell(zone_family[0].dst)
-
-    def apply_family_at_right_boundary(self, zone_family: list[Rel]) -> None:
-        self._apply(lambda t, s: zone_family[s])
-        self.zone = scalar_one_cell(zone_family[0].dst)
-
-    def cell(self) -> TwoCell:
-        g = self.rs.carrier
-        codomain = hcompose_one(
-            hcompose_one(self.rs.boundary_right, self.zone),
-            self.rs.boundary_left,
-        )
-        return TwoCell(
-            identity_one_cell(g),
-            codomain,
-            tuple(tuple(row) for row in self.components),
-        )
-
-
 def _dh_sides(
     dh: DHInstance, erase_published: bool
 ) -> tuple[TwoCell, TwoCell]:
+    """Both sides of the exchange, as two-cells out of the ambient region.
+
+    Each side starts from the region's copy and takes one layer at a time,
+    so that only one layer is alive at once.
+    """
+    rs = region_structure(dh.elements)
+    lhs = rs.copy
+    for layer in _dh_layers(dh, rs, erase_published):
+        lhs = vcompose(lhs, layer)
+    rhs = vcompose(rs.copy, _in_zone(rs, cup_cell(canonical_cup(dh.elements))))
+    return lhs, rhs
+
+
+def _in_zone(rs: RegionStructure, step: TwoCell) -> TwoCell:
+    """A scalar step whiskered between the boundaries of the ambient region."""
+    return hcompose_two(
+        hcompose_two(identity_two_cell(rs.boundary_right), step),
+        identity_two_cell(rs.boundary_left),
+    )
+
+
+def _dh_layers(
+    dh: DHInstance, rs: RegionStructure, erase_published: bool
+) -> Iterator[TwoCell]:
     g, z = dh.elements, dh.exponents
-    rs = region_structure(g)
     fam = dh.exp_op.family
     g_wire, z_wire = wire_cell(g), wire_cell(z)
     pad = cup_cell(canonical_cup(z))
 
-    run = _AmbientRun(rs)
+    def zone_op(family: list[Rel]) -> ControlledOp:
+        return ControlledOp(g, family[0].src, family[0].dst, tuple(family))
+
     # both parties draw and duplicate a private exponent
-    run.apply_scalar(tensor(pad, pad))
+    yield _in_zone(rs, tensor(pad, pad))
     # sender's exponentiation against the ambient base at the left boundary
     id_rest = identity(product_set(z, product_set(z, z)))
-    run.apply_family_at_left_boundary([product(f, id_rest) for f in fam])
-    run.apply_scalar(tensor_many(rs.publish, z_wire, z_wire, z_wire))
+    yield hcompose_two(
+        identity_two_cell(rs.boundary_right),
+        controlled_at_left_boundary(zone_op([product(f, id_rest) for f in fam])),
+    )
+    yield _in_zone(rs, tensor_many(rs.publish, z_wire, z_wire, z_wire))
     # receiver's exponentiation against the ambient base at the right boundary
     id_pre = identity(product_set(g, product_set(z, z)))
-    run.apply_family_at_right_boundary([product(id_pre, f) for f in fam])
-    run.apply_scalar(tensor_many(g_wire, z_wire, z_wire, rs.publish))
+    yield hcompose_two(
+        controlled_at_right_boundary(zone_op([product(id_pre, f) for f in fam])),
+        identity_two_cell(rs.boundary_left),
+    )
+    yield _in_zone(rs, tensor_many(g_wire, z_wire, z_wire, rs.publish))
     # the sender's published value travels across the first kept exponent
-    run.apply_scalar(tensor_many(swap_cell(g, z), z_wire, g_wire))
+    yield _in_zone(rs, tensor_many(swap_cell(g, z), z_wire, g_wire))
     # receiver raises the received value to the kept exponent
-    run.apply_scalar(
-        tensor_many(z_wire, controlled_scalar(dh.exp_op), g_wire)
+    yield _in_zone(
+        rs, tensor_many(z_wire, controlled_scalar(dh.exp_op), g_wire)
     )
     if erase_published:
-        run.apply_scalar(
-            tensor_many(z_wire, rs.delete_region, g_wire, g_wire)
+        yield _in_zone(
+            rs, tensor_many(z_wire, rs.delete_region, g_wire, g_wire)
         )
-        run.apply_scalar(tensor_many(z_wire, swap_cell(g, g)))
-        run.apply_scalar(
-            tensor(controlled_scalar_mirror(dh.exp_op), g_wire)
+        yield _in_zone(rs, tensor_many(z_wire, swap_cell(g, g)))
+        yield _in_zone(
+            rs, tensor(controlled_scalar_mirror(dh.exp_op), g_wire)
         )
-        run.apply_scalar(tensor_many(g_wire, rs.delete_region, g_wire))
+        yield _in_zone(rs, tensor_many(g_wire, rs.delete_region, g_wire))
     else:
-        run.apply_scalar(tensor_many(z_wire, g_wire, swap_cell(g, g)))
-        run.apply_scalar(tensor_many(z_wire, swap_cell(g, g), g_wire))
-        run.apply_scalar(
-            tensor_many(controlled_scalar_mirror(dh.exp_op), g_wire, g_wire)
+        yield _in_zone(rs, tensor_many(z_wire, g_wire, swap_cell(g, g)))
+        yield _in_zone(rs, tensor_many(z_wire, swap_cell(g, g), g_wire))
+        yield _in_zone(
+            rs,
+            tensor_many(controlled_scalar_mirror(dh.exp_op), g_wire, g_wire),
         )
-    lhs = run.cell()
-
-    rhs_run = _AmbientRun(rs)
-    rhs_run.apply_scalar(cup_cell(canonical_cup(g)))
-    rhs = rhs_run.cell()
-    return lhs, rhs
 
 
 def check_dh(dh: DHInstance, erase_published: bool = True) -> EquationVerdict:
@@ -768,7 +700,11 @@ def check_dh(dh: DHInstance, erase_published: bool = True) -> EquationVerdict:
 
     For every admissible base, running the exchange and erasing the
     published values must equal the base's region unchanged beside a
-    matched, uniformly random pair of group elements.
+    matched, uniformly random pair of group elements.  Both sides are
+    ordinary two-cells: the region's copy, then each step of the exchange
+    whiskered between the region's boundaries (the two exponentiations
+    as controlled operations at the left and at the right boundary),
+    composed with `vcompose` and `hcompose_two`.
     """
     lhs, rhs = _dh_sides(dh, erase_published)
     if lhs.codomain.fiber(0, 0).size != rhs.codomain.fiber(0, 0).size:

@@ -172,7 +172,9 @@ class Rel:
 
     ``bits[b, a]`` is True exactly when source element ``a`` is related to
     target element ``b``.  Instances are immutable; every operation returns a
-    fresh relation.
+    fresh relation.  A writeable bit matrix is copied, so the caller may go
+    on changing it; a read-only one is taken as it is, so relations built
+    from one another share their bits instead of copying them.
     """
 
     __slots__ = ("src", "dst", "bits")
@@ -185,8 +187,9 @@ class Rel:
                 f"bit matrix has shape {bits.shape}, expected "
                 f"({dst.size}, {src.size})"
             )
-        bits = bits.copy()
-        bits.setflags(write=False)
+        if bits.flags.writeable:
+            bits = bits.copy()
+            bits.setflags(write=False)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "bits", bits)
@@ -266,17 +269,22 @@ def compose(r: Rel, s: Rel) -> Rel:
     ``(a, c)`` holds iff some ``b`` has ``(a, b)`` in ``r`` and ``(b, c)``
     in ``s``; computed as a boolean matrix product.  Large products go
     through float32 BLAS, which is exact here: every term is a 0/1
-    product, so a sum is positive exactly when some term is one.
+    product, so a sum is positive exactly when some term is one.  When
+    ``r`` has a single source element it is a reachable set, and the
+    result is the OR of the columns of ``s`` that it selects.
     """
     if r.dst.size != s.src.size:
         raise ShapeError(
             f"cannot compose: middle sets have sizes {r.dst.size} and "
             f"{s.src.size}"
         )
-    if s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
+    if r.src.size == 1:
+        bits = s.bits[:, r.bits[:, 0]].any(axis=1, keepdims=True)
+    elif s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
         bits = s.bits @ r.bits
     else:
         bits = (s.bits.astype(np.float32) @ r.bits.astype(np.float32)) > 0
+    bits.setflags(write=False)
     return Rel(r.src, s.dst, bits)
 
 
@@ -288,10 +296,18 @@ def product(r: Rel, s: Rel) -> Rel:
     """Pairwise product: ``((a,c),(b,d))`` holds iff ``(a,b)`` and ``(c,d)`` do.
 
     Index encoding is mixed-radix with the left factor as the high digit.
+    A factor that is the full relation on one element is a unit, so the
+    other factor's bits are reused.
     """
-    bits = (
-        r.bits[:, None, :, None] & s.bits[None, :, None, :]
-    ).reshape(r.dst.size * s.dst.size, r.src.size * s.src.size)
+    if r.bits.shape == (1, 1) and r.bits[0, 0]:
+        bits = s.bits
+    elif s.bits.shape == (1, 1) and s.bits[0, 0]:
+        bits = r.bits
+    else:
+        bits = (
+            r.bits[:, None, :, None] & s.bits[None, :, None, :]
+        ).reshape(r.dst.size * s.dst.size, r.src.size * s.src.size)
+        bits.setflags(write=False)
     return Rel(product_set(r.src, s.src), product_set(r.dst, s.dst), bits)
 
 
@@ -428,12 +444,8 @@ def all_relations(src: SetLike, dst: SetLike) -> Iterator[Rel]:
     entry as the most significant bit.
     """
     src, dst = as_finite_set(src), as_finite_set(dst)
-    n = src.size * dst.size
-    for code in range(1 << n):
-        bits = np.array(
-            [(code >> (n - 1 - i)) & 1 for i in range(n)], dtype=bool
-        ).reshape(dst.size, src.size)
-        yield Rel(src, dst, bits)
+    for code in range(1 << (src.size * dst.size)):
+        yield relation_from_code(src, dst, code)
 
 
 def relation_from_code(src: SetLike, dst: SetLike, code: int) -> Rel:
@@ -445,8 +457,11 @@ def relation_from_code(src: SetLike, dst: SetLike, code: int) -> Rel:
     return Rel(src, dst, bits)
 
 
-def relation_code(r: Rel) -> int:
+def relation_code(r: Union[Rel, np.ndarray]) -> int:
+    """The bit code of a relation, or of its bit matrix: the inverse of
+    `relation_from_code`."""
+    bits = r.bits if isinstance(r, Rel) else r
     code = 0
-    for bit in r.bits.reshape(-1):
+    for bit in bits.reshape(-1):
         code = (code << 1) | int(bit)
     return code

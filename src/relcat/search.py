@@ -307,7 +307,7 @@ def _orbit_triples(
                 for i in range(c):
                     rows[sc[i]] = i
                 e_bits = e.bits[np.ix_(rows, cols)]
-                e_code = _bits_code(e_bits)
+                e_code = relation_code(e_bits)
                 d_rows = [0] * p
                 for i in range(p):
                     d_rows[sp[i]] = i
@@ -315,20 +315,13 @@ def _orbit_triples(
                 for j in range(k):
                     d_cols[sk[j]] = j
                 d_codes = [
-                    _bits_code(ds[rows[new_c]].bits[np.ix_(d_rows, d_cols)])
+                    relation_code(ds[rows[new_c]].bits[np.ix_(d_rows, d_cols)])
                     for new_c in range(c)
                 ]
                 new_pad = [0] * k
                 for j in range(k):
                     new_pad[sk[j]] = sk[perm.mapping[j]]
                 yield (e_code, tuple(d_codes), tuple(new_pad))
-
-
-def _bits_code(bits: np.ndarray) -> int:
-    code = 0
-    for b in bits.reshape(-1):
-        code = (code << 1) | int(b)
-    return code
 
 
 def dedup_records(records: Sequence[SolutionRecord]) -> list[SolutionRecord]:
@@ -466,14 +459,14 @@ def sample_candidates(
                 if rng.random() < 0.2:
                     bits[rng.randrange(p), rng.randrange(k)] ^= True
                 ds_bits.append(bits)
-            d_codes = tuple(_bits_code(b) for b in ds_bits)
+            d_codes = tuple(relation_code(b) for b in ds_bits)
             e_bits = np.zeros((c, p * k), dtype=bool)
             for cc in range(c):
                 for j in range(k):
                     col = ds_bits[cc][:, perm.mapping[j]]
                     if col.sum() == 1:
                         e_bits[cc, int(np.argmax(col)) * k + j] = True
-            e_code = _bits_code(e_bits)
+            e_code = relation_code(e_bits)
         record = SolutionRecord(
             sizes, e_code, d_codes, perm.mapping, {"correctness": True}
         )

@@ -49,6 +49,43 @@ class TestCheck:
     def test_missing_file_exit_two(self, capsys):
         assert main(["check", "/nonexistent.rcat"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "set A = 2\nbuiltin f = id(A)\n"
+                f"def x = {'(' * 3000}f{')' * 3000}\ncheck x == x\n",
+                "nested too deeply",
+            ),
+            (
+                "set A = 2\nbuiltin f = id(A)\n"
+                f"def x = f{' ; f' * 3000}\ncheck x == x\n",
+                "nested too deeply",
+            ),
+            (
+                "set A = 3000\ndef x = id(A * A)\ncheck x == x\n",
+                "81000000000000 dense bits (73.7 TiB)",
+            ),
+            (
+                "set A = 3000\ndef x = id(A) * id(A)\ncheck x == x\n",
+                "81000000000000 dense bits (73.7 TiB)",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["check", "verify-otp"])
+    def test_refused_input_exit_two(self, capsys, tmp_path, text, message, command):
+        path = tmp_path / "input.rcat"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)] if command == "check" else [
+            command, "--file", str(path)
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+
     def test_json_matches_schema(self, capsys):
         assert main(["check", spec("snake_equations.rcat"), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -131,10 +168,22 @@ class TestVerifyDh:
         assert main(["verify-dh", "--prime", "4"]) == 2
 
     def test_cap_enforced(self, capsys):
-        assert main(["verify-dh", "--prime", "17"]) == 2
+        for prime in ("13", "17"):
+            assert main(["verify-dh", "--prime", prime]) == 2
 
     def test_no_erase_fails(self):
         assert main(["verify-dh", "--prime", "3", "--no-erase"]) == 1
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
+    @pytest.mark.parametrize("variant", ["", "include_identity", "no_erase"])
+    def test_json_output_is_pinned(self, capsys, prime, variant):
+        name = "_".join(x for x in ("verify_dh", str(prime), variant) if x)
+        with open(data(os.path.join("golden", name + ".json")), encoding="utf-8") as f:
+            want = f.read()
+        flags = ["--" + variant.replace("_", "-")] if variant else []
+        code = main(["verify-dh", "--prime", str(prime), *flags, "--format", "json"])
+        assert capsys.readouterr().out == want
+        assert code == (0 if json.loads(want)["holds"] else 1)
 
 
 # stdout of each command, written by the whole-candidate search that the

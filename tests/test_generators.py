@@ -47,6 +47,7 @@ from relcat.relations import (
     merge,
     product,
     product_set,
+    relation_code,
 )
 
 
@@ -90,6 +91,8 @@ class TestClassification:
         cups = classify_cups(n)
         assert len(cups) == math.factorial(n)
         assert len({p.mapping for p in cups}) == math.factorial(n)
+        codes = [relation_code(cup_from_permutation(p).cup) for p in cups]
+        assert codes == sorted(codes)
 
     def test_every_cup_admits_unique_cap_at_small_sizes(self):
         # full double brute force at size 2: of 2^4 cups x 2^4 caps, only

@@ -135,6 +135,25 @@ class TestCompose:
         s = Rel(b, c, rng.random((c, b)) < density)
         assert set(compose(r, s).pairs()) == _compose_pairs(r, s)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b=st.sampled_from([0, 1, 2, 5, 70]),
+        c=st.sampled_from([0, 1, 3, 70]),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reachable_set_matches_boolean_product(self, b, c, density, seed):
+        # a one-element source is a reachable set, composed by OR-ing the
+        # columns it selects: compare with the integer matrix product,
+        # empty states, empty sets and BLAS-sized operands included
+        rng = np.random.default_rng(seed)
+        r = Rel(1, b, rng.random((b, 1)) < density)
+        s = Rel(b, c, rng.random((c, b)) < 0.3)
+        got = compose(r, s)
+        want = (s.bits.astype(np.int64) @ r.bits.astype(np.int64)) > 0
+        assert (got.src.size, got.dst.size) == (1, c)
+        assert np.array_equal(got.bits, want)
+
     def test_identity_neutral(self, builder):
         for _ in range(20):
             a, b = builder.finite_set(1), builder.finite_set(1)
@@ -167,6 +186,27 @@ class TestCompose:
         ).reshape(y.size, x.size)
         r, s, t = Rel(a, b, bits(a, b)), Rel(b, c, bits(b, c)), Rel(c, d, bits(c, d))
         assert compose(compose(r, s), t) == compose(r, compose(s, t))
+
+
+class TestImmutability:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_caller_mutation_does_not_reach_the_relation(self, data):
+        a, b = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        bits = np.array(
+            data.draw(st.lists(st.booleans(), min_size=a * b, max_size=a * b)),
+            dtype=bool,
+        ).reshape(b, a)
+        r = Rel(a, b, bits)
+        before = r.pairs()
+        bits ^= True
+        assert r.pairs() == before
+        assert not r.bits.flags.writeable
+
+    def test_unit_factor_reuses_bits(self, builder):
+        r = builder.rel(FiniteSet(3), FiniteSet(2))
+        for pr in (product(full(1, 1), r), product(r, full(1, 1))):
+            assert pr == r and np.shares_memory(pr.bits, r.bits)
 
 
 class TestConverse:
