@@ -17,8 +17,7 @@ import time
 from typing import Optional
 
 from relcat import dsl, protocols, search
-from relcat.generators import cup_from_permutation
-from relcat.relations import Permutation
+from relcat.generators import cup_from_permutation, pad_permutation
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -103,17 +102,7 @@ def _instance_from_file(path: str) -> protocols.ProtocolInstance:
         pad = pad_binding.duality
     else:
         rel = dsl.evaluate_name(env, "pad").scalar()
-        if rel.src.size != 1 or rel.dst.size != keys.size**2:
-            raise ValueError("'pad' must go from 1 to keys * keys")
-        mapping = [-1] * keys.size
-        for _, e in rel.pairs():
-            first, second = divmod(e, keys.size)
-            if mapping[first] != -1:
-                raise ValueError("'pad' is not the graph of a permutation")
-            mapping[first] = second
-        if -1 in mapping:
-            raise ValueError("'pad' is not total")
-        pad = cup_from_permutation(Permutation(keys, tuple(mapping)))
+        pad = cup_from_permutation(pad_permutation(keys, rel))
     return protocols.ProtocolInstance(
         plaintexts, keys, ciphertexts, encrypt, decrypt, pad
     )
@@ -269,7 +258,7 @@ def cmd_enumerate(args) -> int:
         return EXIT_USAGE
     started = time.perf_counter()
     try:
-        records = search.enumerate_solutions(spec, threads=args.threads)
+        records = search.enumerate_solutions(spec)
     except search.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -309,7 +298,7 @@ def cmd_theorems(args) -> int:
         report = search.sample_candidates(sizes, args.samples, seed=args.seed)
     else:
         try:
-            report = search.verify_theorems(spec, threads=args.threads)
+            report = search.verify_theorems(spec)
         except search.BudgetExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -420,7 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at /dev/null so that
+        # the flush at interpreter shutdown cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -581,12 +581,14 @@ _REGION_BITS_EXPONENT = 5
 
 @dataclass
 class TypedTerm:
-    """A term annotated with its boundary one-cells."""
+    """A term annotated with its boundary one-cells.  A builtin call keeps
+    the cell built while typing it, so evaluation does not build it again."""
 
     node: Term
     domain: OneCell
     codomain: OneCell
     children: tuple["TypedTerm", ...] = ()
+    cell: Optional[TwoCell] = None
 
 
 @dataclass
@@ -733,7 +735,7 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
             public, in_set, out_set, tuple(by_value[v] for v in range(public.size))
         )
         cell = controlled_scalar(op_data)
-        typed = TypedTerm(call, cell.domain, cell.codomain)
+        typed = TypedTerm(call, cell.domain, cell.codomain, cell=cell)
         return CellBinding(name, typed, cell, controlled=op_data)
     arg = call.type_args[0]
     fiber = _type_fiber(env, arg)
@@ -765,7 +767,7 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
             "publish": lambda: rs.publish,
             "sample": lambda: rs.sample,
         }[op]()
-    typed = TypedTerm(call, cell.domain, cell.codomain)
+    typed = TypedTerm(call, cell.domain, cell.codomain, cell=cell)
     return CellBinding(name, typed, cell, duality=duality)
 
 
@@ -884,7 +886,7 @@ def evaluate(env: Env, typed: TypedTerm) -> TwoCell:
         binding.cell = cell
         return cell
     if isinstance(node, BuiltinCall):
-        return _builtin_binding(env, node, "<inline>").cell
+        return typed.cell
     first, second = typed.children
     if isinstance(node, SeqTerm):
         return vcompose(evaluate(env, first), evaluate(env, second))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,17 +37,13 @@ from relcat.relations import (
     Rel,
     ShapeError,
     as_finite_set,
-    compose,
     converse,
-    diagonal,
     empty,
     full,
     identity,
     kernel,
     make,
-    product,
     product_set,
-    relation_code,
     relation_from_code,
 )
 
@@ -71,6 +67,7 @@ __all__ = [
     "delete",
     "delete_cell",
     "frobenius_check",
+    "pad_permutation",
     "region_structure",
     "scalar_compare",
     "scalar_copy",
@@ -100,21 +97,22 @@ class DualityPair:
 
 
 def snake_equations_hold(carrier: FiniteSet, cup: Rel, cap: Rel) -> bool:
-    s = carrier
-    if cup.src.size != 1 or cup.dst.size != s.size * s.size:
+    """Both zig-zags of the cup and cap are the identity wire.
+
+    Read the cup ``1 -> S x S`` as an S x S matrix R and the cap
+    ``S x S -> 1`` as a matrix Q, both indexed (left leg, right leg).  The
+    zig-zag with the cup on the left relates a to x exactly when some y has
+    R[x, y] and Q[y, a], so it is the boolean product RQ; the other zig-zag
+    is QR.  The snake equations say that both are the identity matrix.
+    """
+    n = carrier.size
+    if cup.src.size != 1 or cup.dst.size != n * n:
         return False
-    if cap.src.size != s.size * s.size or cap.dst.size != 1:
+    if cap.src.size != n * n or cap.dst.size != 1:
         return False
-    wire = identity(s)
-    # cup attached on the left of the wire, cap eats the right two legs
-    left_zig = compose(
-        product(cup, wire), product(wire, cap)
-    )
-    # cup attached on the right, cap eats the left two legs
-    right_zig = compose(
-        product(wire, cup), product(cap, wire)
-    )
-    return left_zig == wire and right_zig == wire
+    r, q = cup.bits.reshape(n, n), cap.bits.reshape(n, n)
+    eye = np.eye(n, dtype=bool)
+    return bool(np.array_equal(r @ q, eye) and np.array_equal(q @ r, eye))
 
 
 def cup_from_permutation(pi: Permutation) -> DualityPair:
@@ -138,57 +136,56 @@ def canonical_cup(s: FiniteSet | int) -> DualityPair:
 def classify_cups(s: FiniteSet | int) -> list[Permutation]:
     """All cups admitting a snake-completing cap, as permutations.
 
-    Searches the caps each candidate cup admits and asserts that every
-    surviving cup is the graph of a permutation.  Cups come in increasing
-    bit-code order.  Sizes above ``MAX_CLASSIFY_SIZE`` are refused.
+    By `snake_equations_hold` a cup R has a completing cap Q exactly when Q
+    is a two-sided inverse of R in the boolean matrix semiring.  A boolean
+    matrix with a boolean inverse is a permutation matrix, and its inverse
+    is its transpose (Luce, "A note on Boolean matrix theory", Proc. AMS 3,
+    1952).  So every one of the 2^(n^2) cups is tested at once against the
+    cap R^T, and the survivors are decoded by `pad_permutation`.  Cups come
+    in increasing bit-code order.  Sizes above ``MAX_CLASSIFY_SIZE`` are
+    refused.
     """
     s = as_finite_set(s)
-    if s.size > MAX_CLASSIFY_SIZE:
+    n = s.size
+    if n > MAX_CLASSIFY_SIZE:
         raise ValueError(
-            f"classification is exhaustive; size {s.size} exceeds the cap "
+            f"classification is exhaustive; size {n} exceeds the cap "
             f"of {MAX_CLASSIFY_SIZE}"
         )
-    out = []
-    for cup in sorted(_classify_pruned(s), key=relation_code):
-        mapping = [-1] * s.size
-        for _, e in cup.pairs():
-            x, y = divmod(e, s.size)
-            if mapping[x] != -1:
-                raise AssertionError(f"cup is not a permutation graph: {cup}")
-            mapping[x] = y
-        out.append(Permutation(s, tuple(mapping)))
-    return out
-
-
-def _classify_pruned(s: FiniteSet) -> list[Rel]:
-    # View the cup as a relation R on s. Half of each snake equation is a
-    # coverage condition: R must be total and surjective, and any valid cap
-    # Q must satisfy Q(b) contained in the sole R-preimage of b.  Only the
-    # candidate caps inside that superset need checking.
+    # Bit i of a relation code, counted from the most significant end, is
+    # entry i of the row-major cup matrix (see `relation_from_code`).
+    codes = np.arange(1 << (n * n), dtype=np.int64)
+    shifts = np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    bits = (codes[:, None] >> shifts) & 1
+    cups = bits.astype(bool).reshape(len(codes), n, n)
+    caps = cups.transpose(0, 2, 1)
+    eye = np.eye(n, dtype=bool)
+    snakes = ((cups @ caps) == eye).all(axis=(1, 2))
+    snakes &= ((caps @ cups) == eye).all(axis=(1, 2))
     pair = product_set(s, s)
-    one = FiniteSet(1)
-    n = s.size
-    survivors = []
-    for code in range(1 << (n * n)):
-        r = relation_from_code(s, s, code)
-        if not (r.bits.any(axis=0).all() and r.bits.any(axis=1).all()):
-            continue
-        allowed = []
-        for b in range(n):
-            preim = np.flatnonzero(r.bits[b, :])
-            if len(preim) == 1:
-                allowed.append((b, int(preim[0])))
-        cup = make(one, pair, [(0, x * n + y) for x, y in r.pairs()])
-        found = False
-        for mask in range(1 << len(allowed)):
-            q_pairs = [allowed[i] for i in range(len(allowed)) if mask >> i & 1]
-            cap = make(pair, one, [(b * n + a, 0) for b, a in q_pairs])
-            if snake_equations_hold(s, cup, cap):
-                found = True
-                break
-        if found:
-            survivors.append(cup)
-    return survivors
+    return [
+        pad_permutation(s, relation_from_code(FiniteSet(1), pair, int(code)))
+        for code in np.flatnonzero(snakes)
+    ]
+
+
+def pad_permutation(keys: FiniteSet, pad: Rel) -> Permutation:
+    """The permutation whose graph the cup ``pad: 1 -> keys x keys`` is.
+
+    Every key must be paired with exactly one key and be the partner of
+    exactly one key; otherwise a `ValueError` says which condition fails.
+    """
+    n = keys.size
+    if pad.src.size != 1 or pad.dst.size != n * n:
+        raise ValueError("'pad' must go from 1 to keys * keys")
+    graph = pad.bits.reshape(n, n)
+    if (graph.sum(axis=1) > 1).any():
+        raise ValueError("'pad' is not the graph of a permutation")
+    if not graph.any(axis=1).all():
+        raise ValueError("'pad' is not total")
+    if not graph.any(axis=0).all():
+        raise ValueError("'pad' is not the graph of a permutation")
+    return Permutation(keys, tuple(int(y) for y in np.nonzero(graph)[1]))
 
 
 def delete(s: FiniteSet | int) -> Rel:
@@ -471,7 +468,7 @@ class ControlledOp:
                 )
 
 
-def controlled(op: ControlledOp, check_lemma: bool = True) -> TwoCell:
+def controlled(op: ControlledOp) -> TwoCell:
     """The controlled operation as a two-cell running alongside its region.
 
     Domain and codomain are the region identity tensored with the private
@@ -492,10 +489,9 @@ def controlled(op: ControlledOp, check_lemma: bool = True) -> TwoCell:
         for t in s
     )
     cell = TwoCell(dom, cod, components)
-    if check_lemma:
-        assert equal(cell, _copy_rewrite(op)).equal, (
-            "controlled operation disagrees with its copy-then-compare form"
-        )
+    assert equal(cell, _copy_rewrite(op)).equal, (
+        "controlled operation disagrees with its copy-then-compare form"
+    )
     return cell
 
 

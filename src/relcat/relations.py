@@ -113,9 +113,6 @@ class FiniteSet:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSet is immutable")
 
-    def __reduce__(self):
-        return (FiniteSet, (self.size, self._recipe or self._labels))
-
     def __repr__(self) -> str:
         return f"FiniteSet(size={self.size}, labels={self.labels!r})"
 
@@ -161,10 +158,6 @@ class _PairLabels:
         if self.a.labels is None or self.b.labels is None:
             return None
         return tuple(f"({x},{y})" for x in self.a.labels for y in self.b.labels)
-
-
-def pair_index(a: FiniteSet, b: FiniteSet, x: int, y: int) -> int:
-    return x * b.size + y
 
 
 class Rel:

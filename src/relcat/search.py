@@ -272,15 +272,11 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
     return out
 
 
-def enumerate_solutions(
-    spec: SearchSpec, threads: int = 1
-) -> list[SolutionRecord]:
+def enumerate_solutions(spec: SearchSpec) -> list[SolutionRecord]:
     """All candidate triples satisfying the requested constraints.
 
     Emission order is ascending on (encrypt bits, decrypt bits, pad); the
-    candidate space is refused outright when it exceeds the budget.  The
-    search runs in one process whatever ``threads`` says: the factorised
-    enumerator does less work than it would take to start a second one.
+    candidate space is refused outright when it exceeds the budget.
     """
     count = candidate_count(spec)
     if count > spec.budget:
@@ -393,7 +389,7 @@ def _check_theorems_on(
     return not report.vacuous
 
 
-def verify_theorems(spec: SearchSpec, threads: int = 1) -> TheoremReport:
+def verify_theorems(spec: SearchSpec) -> TheoremReport:
     """Exhaustively confirm the structural theorems at the given sizes.
 
     Over all solutions satisfying correctness: every decryption fiber is a
@@ -409,7 +405,7 @@ def verify_theorems(spec: SearchSpec, threads: int = 1) -> TheoremReport:
         constraints=frozenset({"correctness"}),
         budget=spec.budget,
     )
-    records = enumerate_solutions(base, threads=threads)
+    records = enumerate_solutions(base)
     counterexamples: list[str] = []
     with_s1 = sum(
         _check_theorems_on(rec, counterexamples) for rec in records

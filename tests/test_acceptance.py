@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracle_naive
+import oracle_snake
 from relcat.cells import equal, hcompose_two, vcompose
 from relcat.dsl import format_source, parse, run_source, structural_key
 from relcat.generators import (
@@ -326,7 +327,8 @@ def test_criterion_9_algebraic_property_suites():
             failures.append("interchange sample failed")
 
     # snake equations: every permutation pair at sizes 1..4 satisfies them,
-    # and at size 2 nothing else does (full double brute force)
+    # and at size 2 nothing else does (full double brute force through the
+    # string-diagram oracle)
     for n in range(1, 5):
         for p in Permutation.all(n):
             dp = cup_from_permutation(p)
@@ -338,7 +340,7 @@ def test_criterion_9_algebraic_property_suites():
         cup = relation_from_code(FiniteSet(1), FiniteSet(4), cup_code)
         for cap_code in range(1 << pair4):
             cap = relation_from_code(FiniteSet(4), FiniteSet(1), cap_code)
-            if snake_equations_hold(FiniteSet(2), cup, cap):
+            if oracle_snake.snake_equations_hold(FiniteSet(2), cup, cap):
                 good += 1
     if good != 2:
         failures.append(f"size 2 admits {good} snake pairs, wanted 2")

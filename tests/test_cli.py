@@ -111,6 +111,29 @@ class TestVerifyOtp:
     def test_instance_file(self):
         assert main(["verify-otp", "--file", data("instance_twisted_pad.rcat")]) == 0
 
+    @pytest.mark.parametrize(
+        "pad, message",
+        [
+            ("gen pad : 1 -> K * K = {()->(0,0), ()->(0,1), ()->(1,0)}",
+             "'pad' is not the graph of a permutation"),
+            ("gen pad : 1 -> K * K = {()->(0,0), ()->(1,0)}",
+             "'pad' is not the graph of a permutation"),
+            ("gen pad : 1 -> K * K = {()->(0,0)}", "'pad' is not total"),
+            ("gen pad : 1 -> K = {()->0, ()->1}",
+             "'pad' must go from 1 to keys * keys"),
+        ],
+    )
+    def test_pad_is_not_a_permutation_exit_two(self, capsys, tmp_path, pad, message):
+        with open(data("instance_twisted_pad.rcat"), encoding="utf-8") as handle:
+            text = handle.read()
+        lines = [pad if ln.startswith("gen pad") else ln for ln in text.splitlines()]
+        path = tmp_path / "pad.rcat"
+        path.write_text("\n".join(lines[:lines.index(pad) + 1]) + "\n", encoding="utf-8")
+        assert main(["verify-otp", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_invalid_group(self, capsys):
         assert main(["verify-otp", "--group", "0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -355,6 +378,42 @@ class TestTheorems:
 
 
 class TestConsoleScript:
+    @staticmethod
+    def _start(argv):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        # default stdout buffering, so small outputs reach the pipe only
+        # when the command flushes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        return subprocess.Popen(
+            [sys.executable, "-m", "relcat.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+
+    def test_closed_pipe_after_first_line(self):
+        # like `relcat enumerate --sizes 2,3,2 | head -1`: 13,824 records
+        # overflow the pipe, so a write fails while the command runs
+        proc = self._start(["enumerate", "--sizes", "2,3,2"])
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert json.loads(first)["sizes"] == [2, 3, 2]
+        assert err == b""
+
+    def test_closed_pipe_before_any_output(self):
+        # the few records fit in the stdout buffer, so the failing write is
+        # the final flush
+        proc = self._start(["enumerate", "--sizes", "1,1,1"])
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert err == b""
+
     def test_module_invocation(self):
         out = subprocess.run(
             [

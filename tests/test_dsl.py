@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from relcat import dsl
 from relcat.cells import equal, hcompose_two, tensor, vcompose
 from relcat.dsl import (
     CheckReport,
@@ -198,6 +199,20 @@ class TestCheckEquation:
         )
         report = check_equation(env, "x", "y")
         assert report.verdict == "type-error"
+
+    def test_each_inline_builtin_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _build=dsl._builtin_binding):
+            calls.append(args[1].op)
+            return _build(*args)
+
+        monkeypatch.setattr(dsl, "_builtin_binding", counted)
+        report = run_source(
+            "set A = 2\ndef x = id(A) ; id(A)\ndef y = id(A)\ncheck x == y\n"
+        )
+        assert report.exit_code == 0
+        assert calls == ["id", "id", "id"]
 
     def test_unequal_with_witness(self):
         report = run_source(

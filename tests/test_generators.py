@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+import oracle_snake
+from relcat import generators, relations
 from relcat.cells import (
     TwoCell,
     equal,
@@ -86,17 +89,36 @@ class TestDualityPairs:
 
 
 class TestClassification:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_counts_are_factorials(self, n):
+        # exactly the permutations, in increasing cup bit-code order
         cups = classify_cups(n)
         assert len(cups) == math.factorial(n)
-        assert len({p.mapping for p in cups}) == math.factorial(n)
-        codes = [relation_code(cup_from_permutation(p).cup) for p in cups]
-        assert codes == sorted(codes)
+        assert cups == sorted(
+            Permutation.all(n),
+            key=lambda p: relation_code(cup_from_permutation(p).cup),
+        )
+
+    def test_size_four_is_fast(self):
+        started = time.perf_counter()
+        classify_cups(4)
+        assert time.perf_counter() - started < 1.0
+
+    def test_matrix_form_builds_no_relations(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the snake law is decided by matrix products")
+
+        for module in (relations, generators):
+            for name in ("compose", "product"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        dp = canonical_cup(3)
+        assert snake_equations_hold(dp.carrier, dp.cup, dp.cap)
+        assert len(classify_cups(3)) == 6
 
     def test_every_cup_admits_unique_cap_at_small_sizes(self):
-        # full double brute force at size 2: of 2^4 cups x 2^4 caps, only
-        # the permutation cups survive, each with exactly one cap
+        # full double brute force at size 2 through the string-diagram
+        # oracle: of 2^4 cups x 2^4 caps, only the permutation cups
+        # survive, each with exactly one cap
         n = 2
         pair = product_set(FiniteSet(n), FiniteSet(n))
         survivors = {}
@@ -104,7 +126,7 @@ class TestClassification:
             cup = Rel(FiniteSet(1), pair, cup.bits)
             for cap in all_relations(pair.size, 1):
                 cap = Rel(pair, FiniteSet(1), cap.bits)
-                if snake_equations_hold(FiniteSet(n), cup, cap):
+                if oracle_snake.snake_equations_hold(FiniteSet(n), cup, cap):
                     survivors.setdefault(cup, []).append(cap)
         assert len(survivors) == 2
         assert all(len(caps) == 1 for caps in survivors.values())
@@ -112,6 +134,45 @@ class TestClassification:
     def test_size_cap_enforced(self):
         with pytest.raises(ValueError):
             classify_cups(5)
+
+
+class TestSnakeOracle:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_agrees_on_every_pair(self, n):
+        s = FiniteSet(n)
+        pair = product_set(s, s)
+        caps = list(all_relations(pair, 1))
+        for cup in all_relations(1, pair):
+            for cap in caps:
+                assert snake_equations_hold(
+                    s, cup, cap
+                ) == oracle_snake.snake_equations_hold(s, cup, cap)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_on_every_permutation_pair(self, n):
+        s = FiniteSet(n)
+        pads = [cup_from_permutation(p) for p in Permutation.all(n)]
+        for i, with_cup in enumerate(pads):
+            for j, with_cap in enumerate(pads):
+                got = snake_equations_hold(s, with_cup.cup, with_cap.cap)
+                assert got == (i == j)
+                assert got == oracle_snake.snake_equations_hold(
+                    s, with_cup.cup, with_cap.cap
+                )
+
+    @pytest.mark.parametrize(
+        "cup, cap",
+        [
+            (full(2, 4), full(4, 1)),
+            (full(1, 4), full(4, 2)),
+            (full(1, 9), full(9, 1)),
+            (full(1, 4), full(3, 1)),
+        ],
+    )
+    def test_agrees_on_wrong_shapes(self, cup, cap):
+        s = FiniteSet(2)
+        assert snake_equations_hold(s, cup, cap) is False
+        assert oracle_snake.snake_equations_hold(s, cup, cap) is False
 
 
 class TestDeleteCreate:
