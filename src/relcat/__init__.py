@@ -3,7 +3,8 @@
 The model is possibilistic: systems are finite sets, computations are binary
 relations, and public information lives in a second, region-like layer built
 from matrices of sets and matrices of relations.  Everything is evaluated
-exactly over dense boolean matrices; there are no probabilities anywhere.
+exactly over boolean matrices, large products kept as their Kronecker
+factors; there are no probabilities anywhere.
 """
 
 from relcat.relations import (

@@ -367,7 +367,7 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
         dom, cod = domain.fiber(u, s), codomain.fiber(u, s)
         if mid == 1:
             block = product_rel(beta.component(u, 0), alpha.component(0, s))
-            return Rel(dom, cod, block.bits)
+            return block.retyped(dom, cod)
         bits = np.zeros((cod.size, dom.size), dtype=bool)
         if bits.size:
             t_in = _junctions(alpha.domain, beta.domain, u, s)

@@ -23,7 +23,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-DEFAULT_DH_CAP = 11
+DEFAULT_DH_CAP = 19
 THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 
@@ -367,7 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep the published values (the equation is expected to fail)",
     )
-    p_dh.add_argument("--max-prime", type=int, default=DEFAULT_DH_CAP)
+    p_dh.add_argument(
+        "--max-prime",
+        type=int,
+        default=DEFAULT_DH_CAP,
+        help="refuse larger primes (default %(default)s; the check at 19 "
+        "takes about a second)",
+    )
     add_format(p_dh)
     p_dh.set_defaults(func=cmd_verify_dh)
 

@@ -658,14 +658,14 @@ def _dh_layers(
     # both parties draw and duplicate a private exponent
     yield _in_zone(rs, tensor(pad, pad))
     # sender's exponentiation against the ambient base at the left boundary
-    id_rest = identity(product_set(z, product_set(z, z)))
+    id_rest = product(identity(z), product(identity(z), identity(z)))
     yield hcompose_two(
         identity_two_cell(rs.boundary_right),
         controlled_at_left_boundary(zone_op([product(f, id_rest) for f in fam])),
     )
     yield _in_zone(rs, tensor_many(rs.publish, z_wire, z_wire, z_wire))
     # receiver's exponentiation against the ambient base at the right boundary
-    id_pre = identity(product_set(g, product_set(z, z)))
+    id_pre = product(identity(g), product(identity(z), identity(z)))
     yield hcompose_two(
         controlled_at_right_boundary(zone_op([product(id_pre, f) for f in fam])),
         identity_two_cell(rs.boundary_left),

@@ -1,7 +1,14 @@
-"""Finite sets and binary relations stored as dense boolean matrices.
+"""Finite sets and binary relations stored as boolean matrices.
 
 This is the scalar layer of the whole library: every higher construction
 eventually bottoms out in `compose`, `converse` and `product` on `Rel`.
+
+A relation is a dense boolean matrix, with one exception: a `product`
+whose dense form would have more than `_BOOL_MATMUL_MAX_WORK` cells keeps
+its Kronecker factors instead.  `compose` applies such a product to the
+relation before it one factor axis at a time, as a state-vector simulator
+applies a gate, and never builds the product.  Any other reader of its
+`bits` builds the dense form, once; retyped copies share it.
 """
 
 from __future__ import annotations
@@ -190,6 +197,10 @@ class Rel:
     def __setattr__(self, name, value):
         raise AttributeError("Rel is immutable")
 
+    def retyped(self, src: SetLike, dst: SetLike) -> Rel:
+        """The same bits between other sets of the same sizes."""
+        return Rel(src, dst, self.bits)
+
     def pairs(self) -> list[tuple[int, int]]:
         """Related (source, target) pairs in row-major deterministic order."""
         out = [(int(a), int(b)) for b, a in np.argwhere(self.bits)]
@@ -253,7 +264,96 @@ def identity(s: SetLike) -> Rel:
 
 # Above this many multiply-adds a float32 BLAS product beats numpy's
 # boolean matmul, which runs a plain loop; below it the casts cost more.
+# A product with more cells than this keeps its Kronecker factors.
 _BOOL_MATMUL_MAX_WORK = 4096
+
+
+class _Kronecker:
+    """The factors of one Kronecker product, and its dense form once built.
+
+    Every factor is a read-only boolean matrix, none of them the 1x1 unit.
+    One instance is shared by a product and all of its retyped copies, so
+    the dense form is built at most once.
+    """
+
+    __slots__ = ("factors", "dense")
+
+    def __init__(self, factors: tuple[np.ndarray, ...]):
+        self.factors = factors
+        self.dense: Optional[np.ndarray] = None
+
+
+class _FactoredRel(Rel):
+    """A relation held as a Kronecker product; `bits` builds it on first read."""
+
+    __slots__ = ("kron",)
+
+    def __init__(self, src: FiniteSet, dst: FiniteSet, kron: _Kronecker):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "kron", kron)
+
+    @property
+    def bits(self) -> np.ndarray:
+        kron = self.kron
+        if kron.dense is None:
+            kron.dense = _materialise(kron.factors)
+        return kron.dense
+
+    def retyped(self, src: SetLike, dst: SetLike) -> Rel:
+        src, dst = as_finite_set(src), as_finite_set(dst)
+        if (src.size, dst.size) != (self.src.size, self.dst.size):
+            raise ShapeError(
+                f"cannot retype a {self.src.size}->{self.dst.size} relation "
+                f"as {src.size}->{dst.size}"
+            )
+        return _FactoredRel(src, dst, self.kron)
+
+
+def _materialise(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The dense Kronecker product of the factors, left factor high.
+
+    Every dense product matrix is built here, eager or deferred.
+    """
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None, :, None] & f[None, :, None, :]).reshape(
+            out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
+        )
+    out.setflags(write=False)
+    return out
+
+
+def _contraction_work(factors: Sequence[np.ndarray], m: int) -> int:
+    """Multiply-adds of `_contract` on a state matrix with ``m`` columns."""
+    done, rest, work = 1, m, 0
+    for f in factors:
+        rest *= f.shape[1]
+    for f in factors:
+        rest //= f.shape[1]
+        work += f.size * done * rest
+        done *= f.shape[0]
+    return work
+
+
+def _contract(factors: Sequence[np.ndarray], bits: np.ndarray) -> np.ndarray:
+    """``kron(factors) @ bits`` as booleans, one factor axis at a time.
+
+    The rows of ``bits`` are the factors' source axes, left factor high,
+    and its columns a trailing axis of size m.  Each step multiplies the
+    leading axis by one factor with exact float32 BLAS, clips the counts
+    to 0/1, and rotates the new axis to the back; after the last factor
+    the axes are (m, targets...), so one transpose gives the result.
+    """
+    m = bits.shape[1]
+    x = bits.astype(np.float32)
+    for f in factors:
+        y = f.astype(np.float32) @ x.reshape(f.shape[1], -1)
+        np.minimum(y, 1, out=y)
+        x = np.ascontiguousarray(y.T)
+    out = x.reshape(m, -1).T > 0
+    out.setflags(write=False)
+    return out
 
 
 def compose(r: Rel, s: Rel) -> Rel:
@@ -264,14 +364,26 @@ def compose(r: Rel, s: Rel) -> Rel:
     through float32 BLAS, which is exact here: every term is a 0/1
     product, so a sum is positive exactly when some term is one.  When
     ``r`` has a single source element it is a reachable set, and the
-    result is the OR of the columns of ``s`` that it selects.
+    result is the OR of the columns of ``s`` that it selects.  When ``s``
+    is a product not yet built and contracting ``r`` with its factors
+    costs less than building it, ``s`` is never built.  An ``r`` with an
+    empty source gives the empty result without reading ``s``.
     """
     if r.dst.size != s.src.size:
         raise ShapeError(
             f"cannot compose: middle sets have sizes {r.dst.size} and "
             f"{s.src.size}"
         )
-    if r.src.size == 1:
+    if r.src.size == 0:
+        bits = np.zeros((s.dst.size, 0), dtype=bool)
+    elif (
+        type(s) is _FactoredRel
+        and s.kron.dense is None
+        and _contraction_work(s.kron.factors, r.src.size)
+        < s.src.size * s.dst.size
+    ):
+        bits = _contract(s.kron.factors, r.bits)
+    elif r.src.size == 1:
         bits = s.bits[:, r.bits[:, 0]].any(axis=1, keepdims=True)
     elif s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
         bits = s.bits @ r.bits
@@ -285,23 +397,35 @@ def converse(r: Rel) -> Rel:
     return Rel(r.dst, r.src, r.bits.T)
 
 
+def _is_unit(r: Rel) -> bool:
+    return r.src.size == 1 and r.dst.size == 1 and bool(r.bits[0, 0])
+
+
 def product(r: Rel, s: Rel) -> Rel:
     """Pairwise product: ``((a,c),(b,d))`` holds iff ``(a,b)`` and ``(c,d)`` do.
 
     Index encoding is mixed-radix with the left factor as the high digit.
-    A factor that is the full relation on one element is a unit, so the
-    other factor's bits are reused.
+    A factor that is the full relation on one element is a unit: the other
+    factor is retyped, sharing its bits or its factors.  Otherwise the
+    factor lists of ``r`` and ``s`` are joined; a result of more than
+    `_BOOL_MATMUL_MAX_WORK` cells keeps that list, a smaller one is built.
     """
-    if r.bits.shape == (1, 1) and r.bits[0, 0]:
-        bits = s.bits
-    elif s.bits.shape == (1, 1) and s.bits[0, 0]:
-        bits = r.bits
-    else:
-        bits = (
-            r.bits[:, None, :, None] & s.bits[None, :, None, :]
-        ).reshape(r.dst.size * s.dst.size, r.src.size * s.src.size)
-        bits.setflags(write=False)
-    return Rel(product_set(r.src, s.src), product_set(r.dst, s.dst), bits)
+    src, dst = product_set(r.src, s.src), product_set(r.dst, s.dst)
+    if _is_unit(r):
+        return s.retyped(src, dst)
+    if _is_unit(s):
+        return r.retyped(src, dst)
+    factors = _factors(r) + _factors(s)
+    cells = src.size * dst.size
+    if cells > _BOOL_MATMUL_MAX_WORK:
+        return _FactoredRel(src, dst, _Kronecker(factors))
+    if cells == 0:
+        return Rel(src, dst, np.zeros((dst.size, src.size), dtype=bool))
+    return Rel(src, dst, _materialise(factors))
+
+
+def _factors(r: Rel) -> tuple[np.ndarray, ...]:
+    return r.kron.factors if type(r) is _FactoredRel else (r.bits,)
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,22 @@
 
 Each test draws atomic two-cells (0-cells and fibers of size at most 3),
 builds them in both, composes them the same way in both, and compares the
-fiber paths and every bit of every component.
+fiber paths and every bit of every component.  Fibers that small never
+reach relcat's factored products, so each test runs a second time with
+every nonempty product factored and contracted wherever `compose` can.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_cells as oracle
+from relcat import relations
 from relcat.cells import (
     OneCell,
     TwoCell,
@@ -153,3 +159,37 @@ def test_tensor(left, right, unit):
         b, mb = _unit_pair()
     assert_agrees(tensor(a, b), oracle.tensor(ma, mb))
     assert_agrees(tensor(b, a), oracle.tensor(mb, ma))
+
+
+@contextlib.contextmanager
+def _all_products_factored():
+    """Factor every nonempty product, and contract every factored one that
+    `compose` meets unbuilt, however small."""
+    with mock.patch.object(relations, "_BOOL_MATMUL_MAX_WORK", 0):
+        with mock.patch.object(relations, "_contraction_work", lambda f, m: -1):
+            yield
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=chains(), right_first=st.booleans())
+def test_hcompose_chain_factored(chain, right_first):
+    with _all_products_factored():
+        test_hcompose_chain.hypothesis.inner_test(chain, right_first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layers=chains(layers=2), right_first=st.booleans())
+def test_vcompose_and_interchange_factored(layers, right_first):
+    with _all_products_factored():
+        test_vcompose_and_interchange.hypothesis.inner_test(layers, right_first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    left=chains(max_atoms=2, max_zero=2),
+    right=chains(max_atoms=1, max_zero=2),
+    unit=st.sampled_from([None, "left", "right"]),
+)
+def test_tensor_factored(left, right, unit):
+    with _all_products_factored():
+        test_tensor.hypothesis.inner_test(left, right, unit)

@@ -191,13 +191,34 @@ class TestVerifyDh:
         assert main(["verify-dh", "--prime", "4"]) == 2
 
     def test_cap_enforced(self, capsys):
-        for prime in ("13", "17"):
+        for prime in ("23", "29"):
             assert main(["verify-dh", "--prime", prime]) == 2
 
     def test_no_erase_fails(self):
         assert main(["verify-dh", "--prime", "3", "--no-erase"]) == 1
 
-    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
+    @pytest.mark.parametrize("variant", ["", "include_identity", "no_erase"])
+    def test_prime_thirteen(self, capsys, variant):
+        # past the goldens: the same bases, verdict and witness as at 2..11
+        flags = ["--" + variant.replace("_", "-")] if variant else []
+        code = main(["verify-dh", "--prime", "13", *flags, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        generators = ["g"] + [f"g^{i}" for i in range(2, 13)]
+        bases = ["1", *generators] if variant == "include_identity" else generators
+        assert payload["bases"] == bases
+        assert payload["erase_published"] == (variant != "no_erase")
+        assert payload["holds"] == (variant == "")
+        assert code == (0 if variant == "" else 1)
+        if variant == "":
+            assert payload["witness"] is None
+        elif variant == "include_identity":
+            assert payload["witness"].startswith("base 1: ")
+        else:
+            assert payload["witness"].startswith(
+                "published data retained: sides have different shapes (bases g, "
+            )
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7, 11])
     @pytest.mark.parametrize("variant", ["", "include_identity", "no_erase"])
     def test_json_output_is_pinned(self, capsys, prime, variant):
         name = "_".join(x for x in ("verify_dh", str(prime), variant) if x)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from relcat import cells
+from relcat import cells, relations
 from relcat.cells import equal
 from relcat.generators import (
     ControlledOp,
     controlled_at_left_boundary,
     cup_from_permutation,
+    region_structure,
 )
 from relcat.protocols import (
     PreconditionError,
@@ -404,6 +405,28 @@ class TestKeyExchange:
         inst = dh_instance(5)
         # public value g^2, exponent 3 gives g^6 = g
         assert inst.exp_op.family[2].holds(3, 1)
+
+    @pytest.mark.parametrize(
+        "include_identity, erase", [(False, True), (True, True), (False, False)]
+    )
+    def test_no_dense_layer_at_thirteen(self, monkeypatch, include_identity, erase):
+        # every dense product is built by relations._materialise; the
+        # q^4 x q^4 layers (q^8 bits) must stay factored, and nothing built
+        # may exceed q^5 bits.  The region structure's cached Frobenius
+        # check counts too, so it is run afresh.
+        q, built = 13, []
+        materialise = relations._materialise
+        region_structure.cache_clear()
+
+        def recording(factors):
+            out = materialise(factors)
+            built.append(out.size)
+            return out
+
+        monkeypatch.setattr(relations, "_materialise", recording)
+        verdict = check_dh(dh_instance(q, include_identity), erase_published=erase)
+        assert verdict.holds == (erase and not include_identity)
+        assert built and max(built) <= q**5
 
 
 class TestVerdictInvariants:

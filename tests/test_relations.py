@@ -1,8 +1,9 @@
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from relcat import relations
@@ -253,6 +254,92 @@ class TestProduct:
                             expected = r.holds(x, u) and s.holds(y, v)
                             got = pr.holds(x * c.size + y, u * d.size + v)
                             assert got == expected
+
+
+@st.composite
+def kronecker_trees(draw, depth: int):
+    """A relation built by nested `product` calls, with its dense form
+    built by np.kron.  Each of its at most 2**depth leaves is 1..4 -> 2..4,
+    a unit (1 -> 1, full) or has an empty side."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(["plain"] * 4 + ["unit", "empty"]))
+        if kind == "unit":
+            return full(1, 1), np.ones((1, 1), dtype=bool)
+        a, b = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        if kind == "empty":
+            a, b = draw(st.sampled_from([(0, b), (a, 0)]))
+        bits = np.array(
+            draw(st.lists(st.booleans(), min_size=a * b, max_size=a * b)), bool
+        ).reshape(b, a)
+        return Rel(a, b, bits), bits
+    (r, x), (s, y) = draw(kronecker_trees(depth - 1)), draw(kronecker_trees(depth - 1))
+    return product(r, s), np.kron(x, y).astype(bool)
+
+
+class TestFactoredProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.sampled_from([0, 1, 1, 2, 2, 5]),
+        limit=st.sampled_from([0, 0, relations._BOOL_MATMUL_MAX_WORK]),
+        built=st.booleans(),
+        data=st.data(),
+    )
+    def test_compose_equals_dense_boolean_product(self, m, limit, built, data):
+        # with limit 0 every nonempty product is factored; at the default
+        # one only products of more than that many cells are
+        with mock.patch.object(relations, "_BOOL_MATMUL_MAX_WORK", limit):
+            (x, want_x), (y, want_y) = (data.draw(kronecker_trees(1)) for _ in "xy")
+            s, want_s = product(x, y), np.kron(want_x, want_y).astype(bool)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            r = Rel(m, s.src.size, rng.random((s.src.size, m)) < 0.4)
+            factored = type(s) is relations._FactoredRel
+            contracts = (
+                factored
+                and m > 0
+                and relations._contraction_work(s.kron.factors, m)
+                < s.src.size * s.dst.size
+            )
+            event(f"factored={factored} contracts={contracts} m={m}")
+            if built:
+                s.bits
+            got = compose(r, s)
+            if factored:
+                stays_unbuilt = not built and (m == 0 or contracts)
+                assert (s.kron.dense is None) == stays_unbuilt
+        want = (want_s.astype(np.int64) @ r.bits.astype(np.int64)) > 0
+        assert (got.src.size, got.dst.size) == (m, s.dst.size)
+        assert np.array_equal(got.bits, want)
+        dense = Rel(s.src, s.dst, want_s)
+        assert s == dense and dense == s and hash(s) == hash(dense)
+
+    def test_large_product_is_factored_and_built_once(self):
+        leaf = Rel(4, 3, np.arange(12).reshape(3, 4) % 3 == 0)
+        s = product(product(leaf, leaf), product(leaf, leaf))
+        assert type(s) is relations._FactoredRel
+        assert [f.shape for f in s.kron.factors] == [(9, 16), (9, 16)]
+        state = Rel(1, 256, np.arange(256).reshape(256, 1) % 7 == 0)
+        assert compose(state, s).bits.shape == (81, 1)
+        assert s.kron.dense is None  # a state is contracted axis by axis
+        wide = Rel(256, 256, np.eye(256, dtype=bool))
+        assert compose(wide, s) == s  # a wide matrix is cheaper dense
+        assert s.kron.dense is not None
+        unit = full(1, 1)
+        for copy in (product(unit, s), product(s, unit), s.retyped(256, 81)):
+            assert copy.bits is s.bits
+
+    def test_empty_source_reads_nothing(self):
+        s = product(identity(70), identity(70))
+        assert type(s) is relations._FactoredRel
+        got = compose(empty(0, s.src.size), s)
+        assert (got.src.size, got.dst.size) == (0, 4900)
+        assert s.kron.dense is None
+
+    def test_retyped_keeps_sizes(self):
+        s = product(identity(70), identity(70))
+        with pytest.raises(ShapeError):
+            s.retyped(4900, 4899)
+        with pytest.raises(ShapeError):
+            identity(3).retyped(3, 2)
 
 
 class TestKernel:
