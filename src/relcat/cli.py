@@ -114,12 +114,22 @@ def _verdict_json(v: protocols.EquationVerdict) -> dict:
 
 def cmd_verify_otp(args) -> int:
     try:
+        if args.group is None:
+            inst = _instance_from_file(args.file)
+            p, k, c = inst.plaintexts.size, inst.keys.size, inst.ciphertexts.size
+        else:
+            p = k = c = max(args.group, 0)  # group_instance refuses n < 1
+        # The checks build at most (|P|·|K|·|C|)² bits in one matrix, when
+        # the encryption is rebuilt; the DSL already bounded a file's cells.
+        bits = (p * k * c) ** 2
+        if bits > dsl.MAX_DENSE_BITS:
+            raise ValueError(
+                f"checking an instance of sizes {p}x{k}x{c} builds a matrix "
+                f"of {dsl.dense_size(bits)}, over the limit of {dsl.MAX_DENSE_BITS}"
+            )
         if args.group is not None:
             inst = protocols.group_instance(args.group)
-            source = f"group of order {args.group}"
-        else:
-            inst = _instance_from_file(args.file)
-            source = args.file
+        source = args.file if args.group is None else f"group of order {args.group}"
     except (ValueError, OSError, dsl.ParseError, dsl.ElaborationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

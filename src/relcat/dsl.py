@@ -549,14 +549,18 @@ class ElaborationError(ValueError):
 MAX_DENSE_BITS = 1 << 28
 
 
+def dense_size(bits: int) -> str:
+    """A bit count with its size in memory, at one byte per bit."""
+    scale = min(5, (bits.bit_length() - 1) // 10)
+    unit = "B KiB MiB GiB TiB PiB".split()[scale]
+    return f"{bits} dense bits ({bits / 1024**scale:.1f} {unit})"
+
+
 def _refuse_dense(bits: int, line: int, col: int) -> None:
     """Refuse a cell before it is built when its bit matrices are too large."""
     if bits > MAX_DENSE_BITS:
-        scale = min(5, (bits.bit_length() - 1) // 10)
-        size = f"{bits / 1024**scale:.1f} {('B KiB MiB GiB TiB PiB').split()[scale]}"
         raise ElaborationError(
-            f"cell of {bits} dense bits ({size}) exceeds the limit of "
-            f"{MAX_DENSE_BITS}",
+            f"cell of {dense_size(bits)} exceeds the limit of {MAX_DENSE_BITS}",
             line,
             col,
         )

@@ -1,13 +1,28 @@
 """Exhaustive synthesis of encryption schemes at small sizes.
 
-Candidates range over every pad cup (one per permutation of the key set),
-every per-ciphertext decryption relation, and every encryption relation.
-Decryption is controlled by the ciphertext, so every constraint splits
-into one condition per ciphertext; the search solves the one-ciphertext
-problem on the same relation kernel the cell evaluator delegates to and
-assembles the solutions as per-ciphertext products.  Records are emitted
-in increasing order of the (encrypt, decrypt, pad) bit codes, so runs are
-reproducible byte for byte.
+Candidates range over every pad cup (one per permutation π of the key
+set), every per-ciphertext decryption relation, and every encryption
+relation.  Every constraint splits into one condition per ciphertext
+block (`enumerate_shard` says why): an encryption row e (the P x K matrix
+of pairs that encrypt to this ciphertext), the pad π and a decryption
+block d (a K -> P matrix).  Write M_x for the messages that key x
+encrypts to the block.  Read off the diagram equations, the conditions are:
+
+- S1: padding, encrypting and dropping the key reaches the block from
+  every message, so every message row of e is nonempty.  S2 says the same
+  without the pad; the two agree because the pad is a permutation, so the
+  key it pairs with a message ranges over all of K either way.
+- S3: every key column of e is nonempty.
+- S4: creating a key and decrypting reaches every message: d is onto P.
+- Correctness: decrypting the padded encryption of m gives exactly {m},
+  that is, the union of the columns d(π(x)) over the keys x with m in M_x
+  is {m}.  So d(π(x)) is empty when |M_x| >= 2, is empty or {m} when
+  M_x = {m}, and is any subset of P when M_x is empty; and every message
+  m needs a key x with M_x = {m} and d(π(x)) = {m} (coverage).
+
+Each key's options are the subsets of one allowed column, which
+`_BlockSolver` reads off the bit codes.  Records are emitted in increasing
+order of the (encrypt, decrypt, pad) bit codes, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -20,19 +35,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from relcat.generators import ControlledOp, DualityPair, cup_from_permutation
+from relcat.generators import ControlledOp, cup_from_permutation
 from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
-    compose,
-    converse,
-    empty,
-    full,
-    identity,
-    make,
     predicates,
-    product,
     product_set,
     relation_code,
     relation_from_code,
@@ -53,15 +61,24 @@ __all__ = [
 
 DEFAULT_BUDGET = 2**30
 CONSTRAINT_NAMES = ("correctness", "S1", "S2", "S3", "S4")
+# Python prints integers of at most 4,300 decimal digits by default, and
+# every integer below 2^14284 has at most that many.
+_PRINTABLE_BITS = 14284
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, candidates: int, budget: int):
-        self.candidates = candidates
-        self.budget = budget
+    """The candidate space exceeds the budget.  `candidates` is the exact
+    count, or None when it is too long to print."""
+
+    def __init__(self, spec: "SearchSpec"):
+        p, k, c = spec.sizes
+        self.budget = spec.budget
+        log2 = 2 * p * k * c + math.lgamma(k + 1) / math.log(2)
+        self.candidates = candidate_count(spec) if log2 < _PRINTABLE_BITS else None
+        shown = f"about 2^{log2:.0f}" if self.candidates is None else self.candidates
         super().__init__(
-            f"candidate space of {candidates} composite checks exceeds the "
-            f"budget of {budget}; raise RELCAT_BUDGET to override"
+            f"candidate space of {shown} composite checks exceeds the "
+            f"budget of {self.budget}; raise RELCAT_BUDGET to override"
         )
 
 
@@ -89,7 +106,7 @@ class SearchSpec:
 
 def candidate_count(spec: SearchSpec) -> int:
     p, k, c = spec.sizes
-    return math.factorial(k) * 2 ** (c * k * p) * 2 ** (p * k * c)
+    return math.factorial(k) * 2 ** (2 * p * k * c)
 
 
 @dataclass(frozen=True)
@@ -155,105 +172,96 @@ def _rows(code: int, n_src: int, n_dst: int) -> list[str]:
     return [bits[i * n_src : (i + 1) * n_src] for i in range(n_dst)]
 
 
-class _FastChecker:
-    """Constraint evaluation on scalar relations, factored for enumeration."""
+class _BlockSolver:
+    """The constraints of one ciphertext block, read off the bit codes.
 
-    def __init__(self, spec: SearchSpec):
-        p, k, c = spec.sizes
-        self.p_set, self.k_set, self.c_set = FiniteSet(p), FiniteSet(k), FiniteSet(c)
-        self.id_p = identity(self.p_set)
-        self.id_k = identity(self.k_set)
-        self.id_c = identity(self.c_set)
-        self.create_k = converse(full(self.k_set, FiniteSet(1)))
-        self.create_p = converse(full(self.p_set, FiniteSet(1)))
-        self.create_c = converse(full(self.c_set, FiniteSet(1)))
-        self.delete_p = full(self.p_set, FiniteSet(1))
-        self.delete_k = full(self.k_set, FiniteSet(1))
-        self.full_1p = full(FiniteSet(1), self.p_set)
-        # right-hand sides
-        self.rhs_correct = product(self.create_c, self.id_p)
-        self.rhs_cipher_from_p = compose(self.delete_p, self.create_c)
-        self.rhs_cipher_from_k = compose(self.delete_k, self.create_c)
+    An encryption row and a decryption block are both P x K bit codes,
+    message-major, first entry most significant.  The solver works on u,
+    the decryption read through the pad (column x of u is column π(x) of
+    d), on which no constraint involves the pad: moving columns keeps each
+    row of d nonempty or empty.
+    """
 
-    def pad_step(self, perm: Permutation) -> Rel:
-        cup = cup_from_permutation(perm).cup
-        return product(self.id_p, cup)
+    def __init__(self, p: int, k: int, need: frozenset[str]):
+        self.p, self.k, self.need = p, k, need
+        self.rows = [((1 << k) - 1) << ((p - 1 - m) * k) for m in range(p)]
+        self.cols = [sum(self.bit(m, x) for m in range(p)) for x in range(k)]
 
-    def decrypt_step(self, decrypt: Sequence[Rel]) -> Rel:
-        c, k, p = self.c_set.size, self.k_set.size, self.p_set.size
-        bits = np.zeros((c * p, c * k), dtype=bool)
-        for i, d in enumerate(decrypt):
-            bits[i * p : (i + 1) * p, i * k : (i + 1) * k] = d.bits
-        return Rel(
-            product_set(self.c_set, self.k_set),
-            product_set(self.c_set, self.p_set),
-            bits,
-        )
+    def bit(self, m: int, x: int) -> int:
+        """The code of the single pair (message m, key x)."""
+        return 1 << ((self.p - 1 - m) * self.k + self.k - 1 - x)
 
-    def correctness(self, after_pad_enc: Rel, decrypt_step: Rel) -> bool:
-        return compose(after_pad_enc, decrypt_step) == self.rhs_correct
+    def solve(self, row: int) -> Optional[tuple[int, list[int]]]:
+        """(allowed, masks) for encryption row `row`, or None if it fails.
 
-    def s1(self, after_pad_enc: Rel) -> bool:
-        drop_key = product(self.id_c, self.delete_k)
-        return compose(after_pad_enc, drop_key) == self.rhs_cipher_from_p
+        u passes exactly when it lies inside `allowed` and meets every
+        mask.  Column x of `allowed` is key x's allowed column, whose
+        subsets are its options; the masks are the rows of d for S4 and,
+        for coverage, the singleton columns of e in each message row.
+        """
+        need, rows, cols = self.need, self.rows, self.cols
+        if {"S1", "S2"} & need and not all(row & r for r in rows):
+            return None
+        if "S3" in need and not all(row & col for col in cols):
+            return None
+        masks = rows if "S4" in need else []
+        if "correctness" not in need:
+            return sum(cols), masks
+        allowed = singles = 0
+        for col in cols:
+            encrypted = row & col  # M_x, in column x
+            if not encrypted:
+                allowed |= col
+            elif not encrypted & (encrypted - 1):
+                allowed |= encrypted
+                singles |= encrypted
+        cover = [singles & r for r in rows]
+        return (allowed, masks + cover) if all(cover) else None
 
-    def s2(self, e: Rel) -> bool:
-        lhs = compose(product(self.id_p, self.create_k), e)
-        return lhs == self.rhs_cipher_from_p
-
-    def s3(self, e: Rel) -> bool:
-        lhs = compose(product(self.create_p, self.id_k), e)
-        return lhs == self.rhs_cipher_from_k
-
-    def s4(self, decrypt: Sequence[Rel]) -> bool:
-        return all(
-            compose(self.create_k, d) == self.full_1p for d in decrypt
-        )
+    def through_pad(self, u: int, pad: Sequence[int]) -> int:
+        """The code whose column pad[x] is column x of `u`."""
+        out = 0
+        for x, col in enumerate(self.cols):
+            shift, part = x - pad[x], u & col
+            out |= part << shift if shift >= 0 else part >> -shift
+        return out
 
 
 def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
     """Enumerate solutions as per-ciphertext products.
 
-    Decryption is controlled by the ciphertext, so ``decrypt_step`` is
-    block-diagonal over C, and so is ``rhs_correct = create_c (x) id_p``:
-    correctness holds iff ``after_c ; d_c = id_P`` on each ciphertext
-    block ``after_c`` of ``after``, which reads row c of the encryption
-    alone.  S1 holds iff it holds on each block of ``after``; S2 and S3
-    read one row of the encryption at a time, and S4 one ``d_c``.  So for
-    a fixed pad the solutions at (p, k, c) are the c-fold product of those
-    at (p, k, 1).  The one-ciphertext problem is solved once, as a table
-    of passing decryption codes per (encryption row, pad), and products of
-    its entries are emitted ascending on (encrypt, decrypt, pad).
+    Decryption is controlled by the ciphertext, so the decryption layer is
+    block-diagonal over C, and so are the right-hand sides ``create_c (x)
+    id_p``, ``delete_p ; create_c`` and ``delete_k ; create_c``.  Each
+    constraint therefore holds iff it holds on every ciphertext block, in
+    the form the module docstring gives, and for a fixed pad the solutions
+    at (p, k, c) are the c-fold product of those at (p, k, 1).  For each
+    encryption row, the passing decryptions are the submasks of the
+    solver's `allowed` code that meet every mask, sorted per pad; products
+    of the table's entries are emitted ascending on (encrypt, decrypt, pad).
     """
     p, k, c = spec.sizes
     need = spec.constraints
-    one = _FastChecker(SearchSpec(p, k, 1, need))
-    perms = list(Permutation.all(one.k_set))
-    pad_steps = [one.pad_step(perm) for perm in perms]
-    decrypts = []
-    for code in range(1 << (k * p)):
-        d = relation_from_code(one.k_set, one.p_set, code)
-        if "S4" not in need or one.s4([d]):
-            decrypts.append((code, one.decrypt_step([d])))
-
+    solver = _BlockSolver(p, k, need)
+    pads = list(itertools.permutations(range(k)))
     table: dict[int, list[tuple[int, ...]]] = {}
-    e_src = product_set(one.p_set, one.k_set)
     for row in range(1 << (p * k)):
-        e = relation_from_code(e_src, one.c_set, row)
-        if ("S2" in need and not one.s2(e)) or ("S3" in need and not one.s3(e)):
+        solved = solver.solve(row)
+        if solved is None:
             continue
-        passing = []
-        for pad_step in pad_steps:
-            after = compose(pad_step, product(e, one.id_k))
-            if "S1" in need and not one.s1(after):
-                passing.append(())
-                continue
-            passing.append(tuple(
-                code for code, d_step in decrypts
-                if "correctness" not in need or one.correctness(after, d_step)
-            ))
-        if any(passing):
-            table[row] = passing
+        allowed, masks = solved
+        passing, u = [], allowed
+        while True:
+            if all(u & mask for mask in masks):
+                passing.append(u)
+            if not u:
+                break
+            u = (u - 1) & allowed
+        if passing:
+            table[row] = [
+                tuple(sorted(solver.through_pad(u, pad) for u in passing))
+                for pad in pads
+            ]
 
     out: list[SolutionRecord] = []
     for e_rows in itertools.product(sorted(table), repeat=c):
@@ -262,12 +270,12 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
             e_code = e_code << (p * k) | row
         for d_codes, i in sorted(
             (d_codes, i)
-            for i in range(len(perms))
+            for i in range(len(pads))
             for d_codes in itertools.product(*(table[r][i] for r in e_rows))
         ):
             verdicts = {name: True for name in sorted(need)}
             out.append(SolutionRecord(
-                spec.sizes, e_code, d_codes, perms[i].mapping, verdicts
+                spec.sizes, e_code, d_codes, pads[i], verdicts
             ))
     return out
 
@@ -278,9 +286,10 @@ def enumerate_solutions(spec: SearchSpec) -> list[SolutionRecord]:
     Emission order is ascending on (encrypt bits, decrypt bits, pad); the
     candidate space is refused outright when it exceeds the budget.
     """
-    count = candidate_count(spec)
-    if count > spec.budget:
-        raise BudgetExceeded(count, spec.budget)
+    # The count is at least 2^(2pkc); it is built only if that does not decide.
+    p, k, c = spec.sizes
+    if 2 * p * k * c >= spec.budget.bit_length() or candidate_count(spec) > spec.budget:
+        raise BudgetExceeded(spec)
     records = enumerate_shard(spec)
     if spec.dedup:
         records = dedup_records(records)
@@ -290,34 +299,22 @@ def enumerate_solutions(spec: SearchSpec) -> list[SolutionRecord]:
 def _orbit_triples(
     record: SolutionRecord,
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The triples of every relabeling (sp, sk, sc) of the three carriers."""
     p, k, c = record.sizes
     e, ds, perm = record.relations()
-    for sp in itertools.permutations(range(p)):
-        for sk in itertools.permutations(range(k)):
-            cols = [0] * (p * k)
-            for i in range(p):
-                for j in range(k):
-                    cols[sp[i] * k + sk[j]] = i * k + j
-            for sc in itertools.permutations(range(c)):
-                rows = [0] * c
-                for i in range(c):
-                    rows[sc[i]] = i
-                e_bits = e.bits[np.ix_(rows, cols)]
-                e_code = relation_code(e_bits)
-                d_rows = [0] * p
-                for i in range(p):
-                    d_rows[sp[i]] = i
-                d_cols = [0] * k
-                for j in range(k):
-                    d_cols[sk[j]] = j
-                d_codes = [
-                    relation_code(ds[rows[new_c]].bits[np.ix_(d_rows, d_cols)])
-                    for new_c in range(c)
-                ]
-                new_pad = [0] * k
-                for j in range(k):
-                    new_pad[sk[j]] = sk[perm.mapping[j]]
-                yield (e_code, tuple(d_codes), tuple(new_pad))
+    # encryption and decryption both as (ciphertext, message, key) arrays
+    stacks = (e.bits.reshape(c, p, k), np.stack([d.bits for d in ds]))
+    for sp, sk, sc in itertools.product(
+        *(list(itertools.permutations(range(n))) for n in (p, k, c))
+    ):
+        # entry (i, m, j) moves to (sc[i], sp[m], sk[j])
+        where = np.ix_(np.argsort(sc), np.argsort(sp), np.argsort(sk))
+        e_new, d_new = (stack[where] for stack in stacks)
+        yield (
+            relation_code(e_new),
+            tuple(relation_code(d) for d in d_new),
+            tuple(sk[perm.mapping[j]] for j in np.argsort(sk)),
+        )
 
 
 def dedup_records(records: Sequence[SolutionRecord]) -> list[SolutionRecord]:
@@ -363,8 +360,7 @@ def _check_theorems_on(
 
     inst = record.as_instance()
     label = f"triple {record.triple()}"
-    _, ds, _ = record.relations()
-    if not all(predicates(d).is_bijection for d in ds):
+    if not all(predicates(d).is_bijection for d in inst.decrypt.family):
         counterexamples.append(f"{label}: decryption fiber not a bijection")
     try:
         verdict = protocols.rebuild_encryption(inst)
@@ -398,23 +394,12 @@ def verify_theorems(spec: SearchSpec) -> TheoremReport:
     over those also satisfying the primary security property, the other
     three properties hold.
     """
-    base = SearchSpec(
-        spec.p_size,
-        spec.k_size,
-        spec.c_size,
-        constraints=frozenset({"correctness"}),
-        budget=spec.budget,
-    )
+    base = SearchSpec(*spec.sizes, budget=spec.budget)
     records = enumerate_solutions(base)
     counterexamples: list[str] = []
-    with_s1 = sum(
-        _check_theorems_on(rec, counterexamples) for rec in records
-    )
+    with_s1 = sum(_check_theorems_on(rec, counterexamples) for rec in records)
     return TheoremReport(
-        spec.sizes,
-        candidate_count(base),
-        len(records),
-        with_s1,
+        spec.sizes, candidate_count(base), len(records), with_s1,
         tuple(counterexamples),
     )
 
@@ -427,51 +412,50 @@ def sample_candidates(
     Half the samples are uniform random triples; the other half are guided
     toward plausible solutions (near-functional decryption families with
     the maximal compatible encryption), so the theorem checks are exercised
-    on actual solutions.  Correctness is always checked honestly first.
+    on actual solutions.  Correctness is always checked honestly first, by
+    the enumeration's solver.  The pad is the permutation of lexicographic
+    rank ``rng.randrange(k!)``.
     """
     p, k, c = sizes
     rng = random.Random(seed)
-    spec = SearchSpec(p, k, c, budget=2**62)
-    checker = _FastChecker(spec)
-    perms = list(Permutation.all(FiniteSet(k)))
-    pad_steps = [checker.pad_step(perm) for perm in perms]
+    solver = _BlockSolver(p, k, frozenset({"correctness"}))
+    n_pads, row_bits, row_mask = math.factorial(k), p * k, (1 << p * k) - 1
     counterexamples: list[str] = []
     solutions = 0
     with_s1 = 0
     for i in range(count):
-        pad = rng.randrange(len(perms))
-        perm = perms[pad]
+        rank, rest, pad = rng.randrange(n_pads), list(range(k)), []
+        for n in range(k - 1, -1, -1):
+            pick, rank = divmod(rank, math.factorial(n))
+            pad.append(rest.pop(pick))
+        unpad = sorted(range(k), key=pad.__getitem__)
         if i % 2 == 0:
-            d_codes = tuple(
-                rng.getrandbits(k * p) for _ in range(c)
-            )
-            e_code = rng.getrandbits(p * k * c)
+            d_codes = tuple(rng.getrandbits(row_bits) for _ in range(c))
+            e_code = rng.getrandbits(row_bits * c)
         else:
-            ds_bits = []
+            d_codes, e_code = [], 0
             for _ in range(c):
-                bits = np.zeros((p, k), dtype=bool)
-                for j in range(k):
-                    bits[rng.randrange(p), j] = True
+                d = sum(solver.bit(rng.randrange(p), j) for j in range(k))
                 if rng.random() < 0.2:
-                    bits[rng.randrange(p), rng.randrange(k)] ^= True
-                ds_bits.append(bits)
-            d_codes = tuple(relation_code(b) for b in ds_bits)
-            e_bits = np.zeros((c, p * k), dtype=bool)
-            for cc in range(c):
-                for j in range(k):
-                    col = ds_bits[cc][:, perm.mapping[j]]
-                    if col.sum() == 1:
-                        e_bits[cc, int(np.argmax(col)) * k + j] = True
-            e_code = relation_code(e_bits)
-        record = SolutionRecord(
-            sizes, e_code, d_codes, perm.mapping, {"correctness": True}
-        )
-        e, ds, _ = record.relations()
-        after = compose(pad_steps[pad], product(e, checker.id_k))
-        if not checker.correctness(after, checker.decrypt_step(ds)):
-            continue
-        solutions += 1
-        with_s1 += _check_theorems_on(record, counterexamples)
+                    d ^= solver.bit(rng.randrange(p), rng.randrange(k))
+                d_codes.append(d)
+                # encrypt (m, j) to this block when d decrypts pad[j] to m alone
+                u = solver.through_pad(d, unpad)
+                e_code = e_code << row_bits | sum(
+                    part for col in solver.cols if not (part := u & col) & (part - 1)
+                )
+            d_codes = tuple(d_codes)
+        for cc in range(c):
+            solved = solver.solve(e_code >> (c - 1 - cc) * row_bits & row_mask)
+            u = solver.through_pad(d_codes[cc], unpad)
+            if not (solved and not u & ~solved[0] and all(u & m for m in solved[1])):
+                break
+        else:
+            record = SolutionRecord(
+                sizes, e_code, d_codes, tuple(pad), {"correctness": True}
+            )
+            solutions += 1
+            with_s1 += _check_theorems_on(record, counterexamples)
     return TheoremReport(
         sizes, count, solutions, with_s1, tuple(counterexamples), sampled=count
     )

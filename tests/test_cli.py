@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -379,6 +380,13 @@ class TestTheorems:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sampled"] == 2000
 
+    def test_sampled_with_many_keys_is_fast(self, capsys):
+        # each pad is unranked from one draw, not picked from all 12! pads
+        started = time.perf_counter()
+        main(["theorems", "--sizes", "2,12,2", "--samples", "5"])
+        assert time.perf_counter() - started < 2.0
+        assert "sampled 5" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv, budget",
         [
@@ -396,6 +404,31 @@ class TestTheorems:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--sizes", "3,3,3"], "space of 108086391056891904 composite"),
+        (["enumerate", "--sizes", "200,200,1"], "space of about 2^81245 composite"),
+        (["enumerate", "--sizes", "1000,1000,1000"], "about 2^2000008529"),
+        (["theorems", "--sizes", "10,10,100"], "about 2^20022"),
+        (["verify-otp", "--group", "26"], "308915776 dense bits (294.6 MiB)"),
+        (["verify-otp", "--group", "40"], "4096000000 dense bits (3.8 GiB)"),
+        (["verify-dh", "--prime", "23"], "exceeds the cap of 19"),
+    ],
+)
+def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):
+    # each refusal is decided from the sizes, before any search or check
+    monkeypatch.delenv("RELCAT_BUDGET", raising=False)
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 class TestConsoleScript:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -15,8 +16,6 @@ from relcat.relations import (
     Permutation,
     Rel,
     all_relations,
-    compose,
-    product,
     product_set,
     relation_code,
 )
@@ -24,7 +23,6 @@ from relcat.search import (
     BudgetExceeded,
     SearchSpec,
     SolutionRecord,
-    _FastChecker,
     candidate_count,
     dedup_records,
     enumerate_solutions,
@@ -40,6 +38,16 @@ GOLDEN_DEDUPED_222 = 4
 # shares no code with relcat
 GOLDEN_CORRECT_223 = 16
 GOLDEN_CORRECT_232 = 13824
+# (3,3,c) counted by the relational checker before the bit-code solver;
+# (4,4,c) from the closed form n!^(c+1) at p = k = n: coverage forces the
+# encryption row to be a permutation matrix and the decryption to be unique
+GOLDEN_CORRECT_EQUAL = [
+    ((3, 3, 1), 36),
+    ((3, 3, 2), 216),
+    ((3, 3, 3), 1296),
+    ((4, 4, 1), 576),
+    ((4, 4, 2), 13824),
+]
 
 CONSTRAINT_SETS_SMALL = [
     frozenset(sub)
@@ -51,6 +59,12 @@ CONSTRAINT_SETS_222 = [
     frozenset({"S1"}),
     frozenset({"S2", "S3", "S4"}),
     frozenset({"correctness", "S1", "S2", "S3", "S4"}),
+]
+# the oracle takes about 0.3 s per constraint set at (2,3,1) and (1,3,2)
+CONSTRAINT_SETS_MEDIUM = CONSTRAINT_SETS_222 + [
+    frozenset(),
+    frozenset({"correctness", "S3"}),
+    frozenset({"correctness", "S4"}),
 ]
 
 
@@ -79,7 +93,12 @@ class TestEnumerate:
             for sizes in ((1, 2, 2), (2, 1, 2), (1, 2, 3))
             for constraints in CONSTRAINT_SETS_SMALL
         ]
-        + [((2, 2, 2), constraints) for constraints in CONSTRAINT_SETS_222],
+        + [((2, 2, 2), constraints) for constraints in CONSTRAINT_SETS_222]
+        + [
+            (sizes, constraints)
+            for sizes in ((2, 3, 1), (1, 3, 2))
+            for constraints in CONSTRAINT_SETS_MEDIUM
+        ],
         ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else
         "+".join(sorted(x)) or "none",
     )
@@ -99,6 +118,14 @@ class TestEnumerate:
         assert len(records) == golden
         triples = [r.triple() for r in records]
         assert triples == sorted(set(triples))
+
+    @pytest.mark.parametrize("sizes, golden", GOLDEN_CORRECT_EQUAL)
+    def test_golden_count_at_equal_plaintexts_and_keys(self, sizes, golden):
+        n, _, c = sizes
+        assert golden == math.factorial(n) ** (c + 1)
+        # (3,3,1) fits the default budget; the larger sizes need it raised
+        records = enumerate_solutions(SearchSpec(*sizes, budget=2**70))
+        assert len(records) == golden
 
     def test_contains_single_bit_instance(self, solutions_222):
         inst = single_bit_instance()
@@ -124,6 +151,18 @@ class TestEnumerate:
             enumerate_solutions(spec)
         assert err.value.candidates == candidate_count(spec)
 
+    @pytest.mark.parametrize("budget, refused", [(31, True), (32, False)])
+    def test_budget_boundary_is_exact(self, budget, refused):
+        # 2 pads x 2^4 bit codes = 32 candidates: the lower bound 2^(2pkc)
+        # = 16 does not decide, so the exact count must be compared
+        spec = SearchSpec(1, 2, 1, budget=budget)
+        assert candidate_count(spec) == 32
+        if refused:
+            with pytest.raises(BudgetExceeded):
+                enumerate_solutions(spec)
+        else:
+            assert enumerate_solutions(spec)
+
     def test_verdicts_match_protocol_checkers(self, solutions_222):
         spec = SearchSpec(
             2, 2, 2, constraints=frozenset({"correctness", "S1", "S2", "S3", "S4"})
@@ -140,7 +179,6 @@ class TestEnumerate:
         # spot-check that the fast path rejects exactly what the cell-level
         # checker rejects
         spec = SearchSpec(2, 2, 2)
-        checker = _FastChecker(spec)
         accepted = {r.triple() for r in enumerate_solutions(spec)}
         import random
 
@@ -180,26 +218,22 @@ class TestPruningSoundness:
             relation_code(c) for c in perm_cups
         )
 
-        # and the full solution sets agree when pads range over either set
+        # and the full solution sets agree when pads range over either set;
+        # a snake cup is the graph of a permutation, read off its pairs
         spec = SearchSpec(2, 2, 2)
-        checker = _FastChecker(spec)
         from_cups = set()
         for cup in snake_cups:
-            pad_step = product(checker.id_p, cup)
-            for e in all_relations(product_set(checker.p_set, checker.k_set), 2):
-                after = compose(pad_step, product(e, checker.id_k))
-                for d0 in all_relations(2, 2):
-                    for d1 in all_relations(2, 2):
-                        if checker.correctness(
-                            after, checker.decrypt_step([d0, d1])
-                        ):
-                            from_cups.add(
-                                (
-                                    relation_code(e),
-                                    (relation_code(d0), relation_code(d1)),
-                                    relation_code(cup),
-                                )
-                            )
+            pad = tuple(b % 2 for _, b in cup.pairs())
+            assert [b // 2 for _, b in cup.pairs()] == [0, 1]
+            for e_code in range(1 << 8):
+                enc = frozenset(
+                    ((a // 2, a % 2), b)
+                    for a, b in oracle_naive.rel_from_code(4, 2, e_code)
+                )
+                for d_codes in itertools.product(range(1 << 4), repeat=2):
+                    dec = [oracle_naive.rel_from_code(2, 2, d) for d in d_codes]
+                    if oracle_naive.correctness_holds(2, 2, 2, enc, dec, pad):
+                        from_cups.add((e_code, d_codes, relation_code(cup)))
         from_perms = {
             (
                 r.encrypt_code,
