@@ -112,9 +112,6 @@ class OneCell:
         """Elements of fiber (t, s) as ranked paths through the word."""
         return list(_word_paths_cached(self.word, self.chain, t, s))
 
-    def is_identity_word(self) -> bool:
-        return not self.word
-
     def is_monoidal_unit(self) -> bool:
         return not self.word and self.src.size == 1
 

@@ -108,25 +108,14 @@ def _instance_from_file(path: str) -> protocols.ProtocolInstance:
     )
 
 
-def _verdict_json(v: protocols.EquationVerdict) -> dict:
-    return {"holds": v.holds, "witness": v.witness}
-
-
 def cmd_verify_otp(args) -> int:
     try:
         if args.group is None:
             inst = _instance_from_file(args.file)
-            p, k, c = inst.plaintexts.size, inst.keys.size, inst.ciphertexts.size
+            sizes = (inst.plaintexts.size, inst.keys.size, inst.ciphertexts.size)
         else:
-            p = k = c = max(args.group, 0)  # group_instance refuses n < 1
-        # The checks build at most (|P|·|K|·|C|)² bits in one matrix, when
-        # the encryption is rebuilt; the DSL already bounded a file's cells.
-        bits = (p * k * c) ** 2
-        if bits > dsl.MAX_DENSE_BITS:
-            raise ValueError(
-                f"checking an instance of sizes {p}x{k}x{c} builds a matrix "
-                f"of {dsl.dense_size(bits)}, over the limit of {dsl.MAX_DENSE_BITS}"
-            )
+            sizes = (max(args.group, 0),) * 3  # group_instance refuses n < 1
+        protocols.refuse_oversized(*sizes)
         if args.group is not None:
             inst = protocols.group_instance(args.group)
         source = args.file if args.group is None else f"group of order {args.group}"
@@ -134,53 +123,29 @@ def cmd_verify_otp(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    results: dict[str, protocols.EquationVerdict] = {}
-    results["correctness"] = protocols.check_correctness(inst)
-    results["correctness_protocol_form"] = (
-        protocols.check_correctness_protocol_form(inst)
-    )
-    for which in ("S1", "S2", "S3", "S4"):
-        results[which] = protocols.check_security(inst, which)
+    record = protocols.Verification(inst)
+    results = {name: record[name] for name in protocols.OTP_CHECKS}
+    if results["encryption_rebuilt_from_inverse"].refused:
+        # the rebuild's refusal is reported as the inverse's verdict
+        results["decryption_invertible"] = results.pop(
+            "encryption_rebuilt_from_inverse"
+        )
     notes: dict[str, str] = {}
-    try:
-        dinv, inv = protocols.derive_decryption_inverse(inst)
-        results["decryption_invertible"] = inv
-        results["encryption_rebuilt_from_inverse"] = (
-            protocols.rebuild_encryption(inst, (dinv, inv))
+    if inst.plaintexts.size <= 1 and not results["encryption_not_invertible"].refused:
+        notes["encryption_not_invertible"] = (
+            "message space is trivial: encryption is invertible, "
+            "which the statement exempts"
         )
-    except protocols.PreconditionError as exc:
-        results["decryption_invertible"] = protocols.EquationVerdict(
-            "decryption_invertible", False, str(exc)
-        )
-    try:
-        results["encryption_not_invertible"] = (
-            protocols.check_encryption_not_invertible(inst, results["S1"])
-        )
-        if inst.plaintexts.size <= 1:
-            notes["encryption_not_invertible"] = (
-                "message space is trivial: encryption is invertible, "
-                "which the statement exempts"
-            )
-    except protocols.PreconditionError as exc:
-        results["encryption_not_invertible"] = protocols.EquationVerdict(
-            "encryption_not_invertible", False, str(exc)
-        )
-    implications = protocols.ImplicationReport.from_verdicts(
-        *(results[which] for which in ("S1", "S2", "S3", "S4"))
-    )
+    implications = record.implications()
 
-    all_pass = all(v.holds for v in results.values()) and (
-        implications.implication_holds
-    )
+    all_pass = implications.implication_holds and all(v.holds for v in results.values())
     if args.format == "json":
         payload = {
             "source": source,
-            "sizes": [
-                inst.plaintexts.size,
-                inst.keys.size,
-                inst.ciphertexts.size,
-            ],
-            "results": {k: _verdict_json(v) for k, v in results.items()},
+            "sizes": list(sizes),
+            "results": {
+                k: {"holds": v.holds, "witness": v.witness} for k, v in results.items()
+            },
             "implication_s1_gives_rest": implications.implication_holds,
             "notes": notes,
             "status": "pass" if all_pass else "fail",
@@ -301,6 +266,8 @@ def cmd_theorems(args) -> int:
         if args.samples < 0:
             raise ValueError(f"--samples must not be negative, got {args.samples}")
         spec = search.SearchSpec(*sizes, budget=_budget())
+        if args.samples:
+            protocols.refuse_oversized(*sizes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

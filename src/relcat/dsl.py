@@ -577,9 +577,9 @@ def _dense_bits(domain: OneCell, codomain: OneCell) -> int:
 
 # Each builtin on an n-element set holds at most n ** k bits in one matrix,
 # counting the axioms checked while it is built: a cup's snake equations
-# tensor it with a wire, a region's Frobenius check tensors its scalar
-# compare with a wire.
-_BUILTIN_BITS_EXPONENT = {"id": 2, "cup": 4, "cap": 4, "delete": 1, "create": 1}
+# are n x n boolean products, a region's Frobenius check tensors its
+# scalar compare with a wire.
+_BUILTIN_BITS_EXPONENT = {"id": 2, "cup": 2, "cap": 2, "delete": 1, "create": 1}
 _REGION_BITS_EXPONENT = 5
 
 

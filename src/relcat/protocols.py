@@ -6,13 +6,17 @@ the public ciphertext, and a pad creation step (a duality cup on the key
 set) that nondeterministically hands matching keys to the two parties.
 Correctness and the security properties are equations between composite
 two-cells; each checker builds both sides concretely and compares them bit
-for bit, reporting a located witness on failure.
+for bit, reporting a located witness on failure.  The statements depend on
+one another (the decryption inverse and secret sharing need a correct
+scheme, the rebuild needs the inverse, non-invertibility needs S1), so a
+`Verification` record decides each check of one instance at most once and
+reads its preconditions from the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from relcat.cells import (
     CellDifference,
@@ -45,6 +49,7 @@ from relcat.generators import (
     swap_cell,
     wire_cell,
 )
+from relcat.dsl import MAX_DENSE_BITS, dense_size
 from relcat.relations import (
     FiniteSet,
     Rel,
@@ -59,11 +64,13 @@ __all__ = [
     "DHInstance",
     "EquationVerdict",
     "ImplicationReport",
+    "OTP_CHECKS",
     "PreconditionError",
     "ProtocolInstance",
     "SECURITY_PROPERTIES",
     "SecretSharingInstance",
     "SecretSharingResult",
+    "Verification",
     "check_correctness",
     "check_correctness_protocol_form",
     "check_dh",
@@ -73,6 +80,7 @@ __all__ = [
     "dh_instance",
     "group_instance",
     "rebuild_encryption",
+    "refuse_oversized",
     "secret_sharing_from_otp",
     "security_implications",
     "single_bit_instance",
@@ -89,6 +97,9 @@ class EquationVerdict:
     holds: bool
     witness: Optional[str] = None
     difference: Optional[CellDifference] = None
+    # a precondition failed, so the equation was not evaluated; the
+    # witness is the `PreconditionError` text
+    refused: bool = False
 
     def __post_init__(self) -> None:
         assert (self.witness is None) == self.holds
@@ -178,11 +189,6 @@ def group_instance(n: int) -> ProtocolInstance:
 # ---------------------------------------------------------------------------
 
 
-def _enc_cell(inst: ProtocolInstance) -> TwoCell:
-    """Encryption as a scalar two-cell on wires."""
-    return scalar_two_cell(inst.encrypt)
-
-
 def _enc_published_split(inst: ProtocolInstance) -> TwoCell:
     """Encryption followed by publication, with the input wires presented
     as separate factors (key to the right of the plaintext) and the output
@@ -224,7 +230,7 @@ def check_correctness(inst: ProtocolInstance) -> EquationVerdict:
     p_wire, k_wire = wire_cell(inst.plaintexts), wire_cell(inst.keys)
     lhs = vcompose_many(
         tensor(p_wire, cup_cell(inst.pad)),
-        tensor(_enc_cell(inst), k_wire),
+        tensor(scalar_two_cell(inst.encrypt), k_wire),
         tensor(rs.publish, k_wire),
         controlled_scalar(inst.decrypt),
     )
@@ -242,7 +248,7 @@ def check_correctness_protocol_form(inst: ProtocolInstance) -> EquationVerdict:
     """
     rs = region_structure(inst.ciphertexts)
     p_wire, k_wire = wire_cell(inst.plaintexts), wire_cell(inst.keys)
-    sender = tensor(vcompose(_enc_cell(inst), rs.publish), k_wire)
+    sender = tensor(vcompose(scalar_two_cell(inst.encrypt), rs.publish), k_wire)
     first_half = vcompose(tensor(p_wire, cup_cell(inst.pad)), sender)
     transit = identity_two_cell(first_half.codomain)
     receive = hcompose_two(
@@ -287,7 +293,7 @@ def _security_key_deleted(inst: ProtocolInstance) -> EquationVerdict:
     )
     lhs = vcompose_many(
         tensor(p_wire, cup_cell(inst.pad)),
-        tensor(_enc_cell(inst), k_wire),
+        tensor(scalar_two_cell(inst.encrypt), k_wire),
         tensor(rs.publish, k_wire),
         tensor(bubble_id, delete_cell(inst.keys)),
     )
@@ -299,7 +305,7 @@ def _security_random_key(inst: ProtocolInstance) -> EquationVerdict:
     rs = region_structure(inst.ciphertexts)
     lhs = vcompose_many(
         tensor(wire_cell(inst.plaintexts), create_cell(inst.keys)),
-        _enc_cell(inst),
+        scalar_two_cell(inst.encrypt),
         rs.publish,
     )
     rhs = vcompose(delete_cell(inst.plaintexts), rs.create_region)
@@ -310,7 +316,7 @@ def _security_random_message(inst: ProtocolInstance) -> EquationVerdict:
     rs = region_structure(inst.ciphertexts)
     lhs = vcompose_many(
         tensor(create_cell(inst.plaintexts), wire_cell(inst.keys)),
-        _enc_cell(inst),
+        scalar_two_cell(inst.encrypt),
         rs.publish,
     )
     rhs = vcompose(delete_cell(inst.keys), rs.create_region)
@@ -339,62 +345,33 @@ class ImplicationReport:
     vacuous: bool
     implication_holds: bool
 
-    @staticmethod
-    def from_verdicts(
-        s1: EquationVerdict,
-        s2: EquationVerdict,
-        s3: EquationVerdict,
-        s4: EquationVerdict,
-    ) -> ImplicationReport:
-        """Test that S1 forces the rest, given the four verdicts."""
-        vacuous = not s1.holds
-        implication = vacuous or (s2.holds and s3.holds and s4.holds)
-        return ImplicationReport(s1, s2, s3, s4, vacuous, implication)
-
-
-def security_implications(inst: ProtocolInstance) -> ImplicationReport:
-    """Evaluate S1 through S4 independently and test that S1 forces the rest."""
-    return ImplicationReport.from_verdicts(
-        *(check_security(inst, which) for which in ("S1", "S2", "S3", "S4"))
-    )
-
 
 # ---------------------------------------------------------------------------
 # Invertibility of the two halves.
 # ---------------------------------------------------------------------------
 
 
-def derive_decryption_inverse(
-    inst: ProtocolInstance,
-) -> tuple[TwoCell, EquationVerdict]:
+def _decryption_inverse(record: Verification) -> EquationVerdict:
     """Build the decryption inverse out of the encryption relation.
 
     The wiring: alongside the ambient public region, create a fresh pad,
     encrypt the incoming plaintext with one leg and publish, compare the
     published value against the ambient one (halting on mismatch), and
-    return the surviving pad leg.  The result is verified to be a two-sided
-    inverse of the decryption boundary cell, and every decryption fiber is
-    required to be a bijection.
+    return the surviving pad leg, kept as `record.inverse`.  The result is
+    verified to be a two-sided inverse of the decryption boundary cell, and
+    every decryption fiber is required to be a bijection.
     """
-    correctness = check_correctness(inst)
-    if not correctness.holds:
-        raise PreconditionError(
-            f"decryption inverse requires correctness; {correctness.witness}"
-        )
+    inst = record.inst
     rs = region_structure(inst.ciphertexts)
     id_bl = identity_two_cell(rs.boundary_left)
     k_wire = wire_cell(inst.keys)
 
     dom = hcompose_one(scalar_one_cell(inst.plaintexts), rs.boundary_left)
     step1 = hcompose_two(_cup_split(inst.pad), identity_two_cell(dom))
-    step2 = hcompose_two(
-        hcompose_two(k_wire, _enc_published_split(inst)), id_bl
-    )
-    keep = identity_two_cell(
-        hcompose_one(scalar_one_cell(inst.keys), rs.boundary_left)
-    )
+    step2 = hcompose_two(hcompose_two(k_wire, _enc_published_split(inst)), id_bl)
+    keep = identity_two_cell(hcompose_one(scalar_one_cell(inst.keys), rs.boundary_left))
     step3 = hcompose_two(keep, rs.compare)
-    dinv = vcompose_many(step1, step2, step3)
+    dinv = record.inverse = vcompose_many(step1, step2, step3)
 
     dec = controlled_at_left_boundary(inst.decrypt)
     left = _verdict(
@@ -403,55 +380,26 @@ def derive_decryption_inverse(
     right = _verdict(
         "inverse_then_decrypt", vcompose(dinv, dec), identity_two_cell(dinv.domain)
     )
-    fibers_bijective = all(
-        predicates(f).is_bijection for f in inst.decrypt.family
-    )
-    holds = left.holds and right.holds and fibers_bijective
-    if holds:
-        verdict = EquationVerdict("decryption_invertible", True)
-    else:
-        reasons = [
-            v.witness for v in (left, right) if not v.holds and v.witness
-        ]
-        if not fibers_bijective:
-            reasons.append("a decryption fiber is not a bijection")
-        verdict = EquationVerdict(
-            "decryption_invertible", False, "; ".join(reasons) or "failed"
-        )
-    return dinv, verdict
+    if left.holds and right.holds and record.fibers_bijective:
+        return EquationVerdict("decryption_invertible", True)
+    reasons = [v.witness for v in (left, right) if not v.holds and v.witness]
+    if not record.fibers_bijective:
+        reasons.append("a decryption fiber is not a bijection")
+    reasons = "; ".join(reasons) or "failed"
+    return EquationVerdict("decryption_invertible", False, reasons)
 
 
-def rebuild_encryption(
-    inst: ProtocolInstance,
-    derived: Optional[tuple[TwoCell, EquationVerdict]] = None,
-) -> EquationVerdict:
-    """Reassemble encryption from the decryption inverse.
+def rebuild_encryption_from(inst: ProtocolInstance, dinv: TwoCell) -> EquationVerdict:
+    """Reassemble encryption from a decryption inverse.
 
     Create a fresh public value, run the inverse on the plaintext against
     it, and verify the resulting key against the incoming key wire; what
-    survives is exactly encrypt-then-publish.  ``derived`` is what
-    `derive_decryption_inverse` returned for ``inst``, when the caller has
-    it already.
+    survives is exactly encrypt-then-publish.
     """
-    dinv, inv_verdict = derived or derive_decryption_inverse(inst)
-    if not inv_verdict.holds:
-        raise PreconditionError(
-            f"reconstruction requires an invertible decryption; "
-            f"{inv_verdict.witness}"
-        )
-    return rebuild_encryption_from(inst, dinv)
-
-
-def rebuild_encryption_from(
-    inst: ProtocolInstance, dinv: TwoCell
-) -> EquationVerdict:
-    """The reconstruction comparison against a supplied inverse cell."""
     rs = region_structure(inst.ciphertexts)
     k_wire = wire_cell(inst.keys)
     pk_cell = identity_two_cell(
-        hcompose_one(
-            scalar_one_cell(inst.keys), scalar_one_cell(inst.plaintexts)
-        )
+        hcompose_one(scalar_one_cell(inst.keys), scalar_one_cell(inst.plaintexts))
     )
     bubble = hcompose_one(rs.boundary_left, rs.boundary_right)
 
@@ -465,29 +413,15 @@ def rebuild_encryption_from(
     return _verdict("encryption_rebuilt_from_inverse", rebuilt, target)
 
 
-def check_encryption_not_invertible(
-    inst: ProtocolInstance, s1: Optional[EquationVerdict] = None
-) -> EquationVerdict:
-    """Encryption admits no relational inverse unless messages are trivial.
-
-    ``s1`` is `check_security(inst, "S1")`, when the caller has it already.
-    """
-    s1 = s1 or check_security(inst, "S1")
-    if not s1.holds:
-        raise PreconditionError(
-            "non-invertibility is asserted under the key-deletion property; "
-            f"{s1.witness}"
-        )
+def _not_invertible(record: Verification) -> EquationVerdict:
+    """Encryption admits no relational inverse unless messages are trivial."""
+    inst = record.inst
     trivial = inst.plaintexts.size <= 1
-    # the isomorphisms of Rel are exactly the bijections
-    invertible = predicates(inst.encrypt).is_bijection
-    no_inverse = not invertible
-    # exactly one of the two: a trivial message space is the only way to
-    # be invertible, and a nontrivial one never is
-    holds = trivial != no_inverse
-    if holds:
+    # the isomorphisms of Rel are exactly the bijections; a trivial message
+    # space is the only way to be invertible, and a nontrivial one never is
+    if predicates(inst.encrypt).is_bijection == trivial:
         return EquationVerdict("encryption_not_invertible", True)
-    if trivial and no_inverse:
+    if trivial:
         witness = "message space is trivial yet no inverse was found"
     else:
         witness = "encryption has a two-sided inverse on a nontrivial message space"
@@ -515,7 +449,7 @@ class SecretSharingResult:
     erase_right_share: EquationVerdict
 
 
-def secret_sharing_from_otp(inst: ProtocolInstance) -> SecretSharingResult:
+def _sharing(record: Verification) -> tuple[EquationVerdict, ...]:
     """Read the encryption scheme as a two-share secret sharing procedure.
 
     A pre-existing public message controls the decryption of one pad leg;
@@ -523,25 +457,16 @@ def secret_sharing_from_otp(inst: ProtocolInstance) -> SecretSharingResult:
     step publishes them back through the encryption relation.  Correctness
     is the requirement that this copies the original public message; the
     security equations say that erasing either share makes the other
-    uniformly random.
+    uniformly random.  The three equations share their first layers, so
+    they are decided together.
     """
-    correctness = check_correctness(inst)
-    if not correctness.holds:
-        raise PreconditionError(
-            f"secret sharing is derived from a correct scheme; "
-            f"{correctness.witness}"
-        )
-    sharing = SecretSharingInstance(
-        inst.ciphertexts, inst.pad, inst.decrypt, inst.encrypt
-    )
+    inst = record.inst
     rs = region_structure(inst.ciphertexts)
     id_bl = identity_two_cell(rs.boundary_left)
     k_wire = wire_cell(inst.keys)
 
     prepare = hcompose_two(_cup_split(inst.pad), id_bl)
-    adjust = hcompose_two(
-        k_wire, controlled_at_left_boundary(inst.decrypt)
-    )
+    adjust = hcompose_two(k_wire, controlled_at_left_boundary(inst.decrypt))
     combine = hcompose_two(_enc_published_split(inst), id_bl)
     lhs = vcompose_many(prepare, adjust, combine)
     rhs = hcompose_two(id_bl, rs.copy)
@@ -551,25 +476,146 @@ def secret_sharing_from_otp(inst: ProtocolInstance) -> SecretSharingResult:
     p_bl = identity_two_cell(
         hcompose_one(scalar_one_cell(inst.plaintexts), rs.boundary_left)
     )
-    erase_right = vcompose(
-        after_adjust, hcompose_two(delete_cell(inst.keys), p_bl)
-    )
+    erase_right = vcompose(after_adjust, hcompose_two(delete_cell(inst.keys), p_bl))
     rhs_right = hcompose_two(create_cell(inst.plaintexts), id_bl)
-    erase_right_share = _verdict(
-        "sharing_erase_right_share", erase_right, rhs_right
-    )
+    erase_right_share = _verdict("sharing_erase_right_share", erase_right, rhs_right)
 
     erase_left = vcompose(
         after_adjust,
-        hcompose_two(
-            k_wire, hcompose_two(delete_cell(inst.plaintexts), id_bl)
-        ),
+        hcompose_two(k_wire, hcompose_two(delete_cell(inst.plaintexts), id_bl)),
     )
     rhs_left = hcompose_two(create_cell(inst.keys), id_bl)
     erase_left_share = _verdict("sharing_erase_left_share", erase_left, rhs_left)
+    return recombination, erase_right_share, erase_left_share
 
+
+# ---------------------------------------------------------------------------
+# One record of verdicts per instance.
+# ---------------------------------------------------------------------------
+
+_SHARING = (
+    "sharing_recombination", "sharing_erase_left_share", "sharing_erase_right_share"
+)
+# name -> (hypothesis, decider), in the order of `verify-otp`'s report.  The
+# hypothesis names the check this one presupposes and the words of the
+# refusal; the decider returns the verdict, or several decided together.
+# Checks without a hypothesis are decided through their public names.
+_CHECKS: dict[str, tuple[Optional[tuple[str, str]], Callable]] = {
+    "correctness": (None, lambda r: check_correctness(r.inst)),
+    "correctness_protocol_form": (
+        None, lambda r: check_correctness_protocol_form(r.inst)
+    ),
+    **{
+        w: (None, lambda r, w=w: check_security(r.inst, w))
+        for w in SECURITY_PROPERTIES
+    },
+    "decryption_invertible": (
+        ("correctness", "decryption inverse requires correctness"),
+        _decryption_inverse,
+    ),
+    "encryption_rebuilt_from_inverse": (
+        ("decryption_invertible", "reconstruction requires an invertible decryption"),
+        lambda r: rebuild_encryption_from(r.inst, r.inverse),
+    ),
+    "encryption_not_invertible": (
+        ("S1", "non-invertibility is asserted under the key-deletion property"),
+        _not_invertible,
+    ),
+    **dict.fromkeys(
+        _SHARING,
+        (("correctness", "secret sharing is derived from a correct scheme"), _sharing),
+    ),
+}
+OTP_CHECKS = tuple(name for name in _CHECKS if name not in _SHARING)
+
+
+class Verification:
+    """Every verdict about one instance, each decided at most once.
+
+    ``record[name]`` decides the check `name` (a key of `_CHECKS`) on first
+    use, after its hypothesis.  If the hypothesis fails, the check is not
+    evaluated: its verdict is `refused`, and the witness is the text of the
+    `PreconditionError` that its public function raises.  The record keeps
+    verdicts and the derived inverse cell, never the sides of an equation.
+    """
+
+    def __init__(self, inst: ProtocolInstance):
+        self.inst = inst
+        self.inverse: Optional[TwoCell] = None
+        self.fibers_bijective = all(
+            predicates(f).is_bijection for f in inst.decrypt.family
+        )
+        self._verdicts: dict[str, EquationVerdict] = {}
+
+    def __getitem__(self, name: str) -> EquationVerdict:
+        if name not in self._verdicts:
+            hypothesis, decide = _CHECKS[name]
+            needed = hypothesis and self[hypothesis[0]]
+            if needed and not needed.holds:
+                # a refused hypothesis passes its refusal on in its own words
+                why = needed.witness
+                if not needed.refused:
+                    why = f"{hypothesis[1]}; {why}"
+                decided = EquationVerdict(name, False, why, refused=True)
+            else:
+                decided = decide(self)
+            for verdict in decided if isinstance(decided, tuple) else (decided,):
+                self._verdicts[verdict.name] = verdict
+        return self._verdicts[name]
+
+    def check(self, name: str) -> EquationVerdict:
+        """The verdict of `name`; raises `PreconditionError` if refused."""
+        verdict = self[name]
+        if verdict.refused:
+            raise PreconditionError(verdict.witness)
+        return verdict
+
+    def implications(self) -> ImplicationReport:
+        """S1 through S4, decided independently, and whether S1 forces the rest."""
+        s1, *rest = (self[w] for w in SECURITY_PROPERTIES)
+        vacuous = not s1.holds
+        holds = vacuous or all(v.holds for v in rest)
+        return ImplicationReport(s1, *rest, vacuous, holds)
+
+
+def refuse_oversized(p: int, k: int, c: int) -> None:
+    """Refuse sizes whose checks would build one matrix of more than
+    `MAX_DENSE_BITS` bits.  The rebuild of encryption builds (p·k·c)² bits
+    and the ciphertext region's Frobenius check builds c^5."""
+    bits = max((p * k * c) ** 2, c**5)
+    if bits > MAX_DENSE_BITS:
+        raise ValueError(
+            f"checking an instance of sizes {p}x{k}x{c} builds a matrix "
+            f"of {dense_size(bits)}, over the limit of {MAX_DENSE_BITS}"
+        )
+
+
+def security_implications(inst: ProtocolInstance) -> ImplicationReport:
+    return Verification(inst).implications()
+
+
+def derive_decryption_inverse(
+    inst: ProtocolInstance,
+) -> tuple[TwoCell, EquationVerdict]:
+    """The decryption inverse cell and its verdict."""
+    record = Verification(inst)
+    verdict = record.check("decryption_invertible")
+    return record.inverse, verdict
+
+
+def rebuild_encryption(inst: ProtocolInstance) -> EquationVerdict:
+    return Verification(inst).check("encryption_rebuilt_from_inverse")
+
+
+def check_encryption_not_invertible(inst: ProtocolInstance) -> EquationVerdict:
+    return Verification(inst).check("encryption_not_invertible")
+
+
+def secret_sharing_from_otp(inst: ProtocolInstance) -> SecretSharingResult:
+    record = Verification(inst)
     return SecretSharingResult(
-        sharing, recombination, erase_left_share, erase_right_share
+        SecretSharingInstance(inst.ciphertexts, inst.pad, inst.decrypt, inst.encrypt),
+        *(record.check(name) for name in _SHARING),
     )
 
 

@@ -546,13 +546,6 @@ class Permutation:
         for mapping in itertools.permutations(range(s.size)):
             yield Permutation(s, mapping)
 
-    def as_relation(self) -> Rel:
-        return make(
-            self.carrier,
-            self.carrier,
-            [(i, j) for i, j in enumerate(self.mapping)],
-        )
-
 
 def all_relations(src: SetLike, dst: SetLike) -> Iterator[Rel]:
     """Every relation ``src -> dst``, in increasing bit-pattern order.

@@ -40,7 +40,6 @@ from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
-    predicates,
     product_set,
     relation_code,
     relation_from_code,
@@ -356,32 +355,26 @@ def _check_theorems_on(
 ) -> bool:
     """Returns True when the record also satisfies the primary security
     property; appends a description for every violated theorem."""
-    from relcat import protocols
+    from relcat.protocols import Verification
 
-    inst = record.as_instance()
+    checks = Verification(record.as_instance())
     label = f"triple {record.triple()}"
-    if not all(predicates(d).is_bijection for d in inst.decrypt.family):
+    if not checks.fibers_bijective:
         counterexamples.append(f"{label}: decryption fiber not a bijection")
-    try:
-        verdict = protocols.rebuild_encryption(inst)
-        if not verdict.holds:
-            counterexamples.append(
-                f"{label}: encryption not rebuilt from the inverse"
-            )
-    except protocols.PreconditionError as exc:
-        counterexamples.append(f"{label}: {exc}")
-    report = protocols.security_implications(inst)
+    rebuilt = checks["encryption_rebuilt_from_inverse"]
+    if rebuilt.refused:
+        counterexamples.append(f"{label}: {rebuilt.witness}")
+    elif not rebuilt.holds:
+        counterexamples.append(f"{label}: encryption not rebuilt from the inverse")
+    report = checks.implications()
     if not report.implication_holds:
         counterexamples.append(
             f"{label}: primary security holds but a derived property fails"
         )
-    if inst.plaintexts.size > 1:
-        try:
-            verdict = protocols.check_encryption_not_invertible(inst, report.s1)
-            if not verdict.holds:
-                counterexamples.append(f"{label}: {verdict.witness}")
-        except protocols.PreconditionError:
-            pass
+    if record.sizes[0] > 1:
+        verdict = checks["encryption_not_invertible"]
+        if not verdict.holds and not verdict.refused:
+            counterexamples.append(f"{label}: {verdict.witness}")
     return not report.vacuous
 
 

@@ -139,20 +139,43 @@ class TestVerifyOtp:
         assert main(["verify-otp", "--group", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_each_derivation_runs_once(self, monkeypatch):
+    @staticmethod
+    def _decisions(monkeypatch, argv) -> collections.Counter:
+        # every equation is decided through `_verdict`: count them by name
         calls = collections.Counter()
-        for name in ("derive_decryption_inverse", "check_security"):
 
-            def counted(*args, _name=name, _call=getattr(protocols, name)):
-                calls[(_name, *args[1:])] += 1
-                return _call(*args)
+        def counted(name, *sides, _verdict=protocols._verdict):
+            calls[name] += 1
+            return _verdict(name, *sides)
 
-            monkeypatch.setattr(protocols, name, counted)
-        assert main(["verify-otp", "--group", "3"]) == 0
-        assert calls[("derive_decryption_inverse",)] == 1
-        assert [
-            calls[("check_security", w)] for w in ("S1", "S2", "S3", "S4")
-        ] == [1, 1, 1, 1]
+        monkeypatch.setattr(protocols, "_verdict", counted)
+        main(["verify-otp", *argv])
+        return calls
+
+    def test_each_derivation_runs_once(self, monkeypatch):
+        assert self._decisions(monkeypatch, ["--group", "4"]) == collections.Counter([
+            "correctness", "correctness_protocol_form", "S1", "S2", "S3", "S4",
+            "decrypt_then_inverse", "inverse_then_decrypt",
+            "encryption_rebuilt_from_inverse",
+        ])
+
+    @pytest.mark.parametrize(
+        "stem, decided",
+        [
+            # correct, but the inverse fails, so the rebuild is refused
+            ("otp_single_message", ["decrypt_then_inverse", "inverse_then_decrypt"]),
+            # incorrect, so no inverse is built
+            ("otp_constant_encryption", []),
+        ],
+    )
+    def test_each_derivation_runs_once_when_a_hypothesis_fails(
+        self, monkeypatch, stem, decided
+    ):
+        argv = ["--file", data(f"{stem}.rcat")]
+        assert self._decisions(monkeypatch, argv) == collections.Counter([
+            "correctness", "correctness_protocol_form", "S1", "S2", "S3", "S4",
+            *decided,
+        ])
 
     @pytest.mark.parametrize(
         "stem",
@@ -160,6 +183,8 @@ class TestVerifyOtp:
             "otp_broken_decryption",
             "instance_twisted_pad",
             "otp_labelled_extra_decryption",
+            "otp_single_message",
+            "otp_constant_encryption",
         ],
     )
     def test_json_output_is_pinned(self, capsys, monkeypatch, stem):
@@ -255,6 +280,18 @@ def test_search_output_is_pinned(capsys, name):
     argv = GOLDEN_SEARCH_RUNS[name]
     assert main([argv[0], "--threads", "1", *argv[1:]]) == 0
     assert capsys.readouterr().out == want
+
+
+# every statement is applied at every size, so unequal sizes fail; stdout
+# written by the commit before theorems were decided on one record
+@pytest.mark.parametrize("sizes, count", [("1,2,1", 36), ("1,2,2", 276)])
+def test_theorem_counterexamples_are_pinned(capsys, sizes, count):
+    name = f"theorems_{sizes.replace(',', '_')}.json"
+    with open(data(os.path.join("golden", name)), "r", encoding="utf-8") as handle:
+        want = handle.read()
+    assert main(["theorems", "--sizes", sizes, "--format", "json"]) == 1
+    assert capsys.readouterr().out == want
+    assert len(json.loads(want)["counterexamples"]) == count
 
 
 class TestEnumerate:
@@ -416,6 +453,8 @@ class TestTheorems:
         (["verify-otp", "--group", "26"], "308915776 dense bits (294.6 MiB)"),
         (["verify-otp", "--group", "40"], "4096000000 dense bits (3.8 GiB)"),
         (["verify-dh", "--prime", "23"], "exceeds the cap of 19"),
+        (["theorems", "--sizes", "1,60,60", "--samples", "2"],
+         "777600000 dense bits (741.6 MiB)"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):

@@ -150,6 +150,15 @@ class TestEvaluation:
         )
         assert report.exit_code == 0
 
+    @pytest.mark.parametrize("n", [130, 200])
+    def test_large_cup_then_cap_is_built(self, n):
+        # the snake check is an n x n boolean product: n^2 bits, not n^4
+        report = run_source(
+            f"set K = {n}\ndef loop = cup(K) ; cap(K)\ndef unit = id(1)\n"
+            "check loop == unit\n"
+        )
+        assert report.error is None and report.exit_code == 0
+
     def test_compositional_denotation(self):
         # evaluating an operator node equals combining the evaluations
         env = elaborate(

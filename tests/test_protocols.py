@@ -5,6 +5,7 @@ from relcat import cells, relations
 from relcat.cells import equal
 from relcat.generators import (
     ControlledOp,
+    canonical_cup,
     controlled_at_left_boundary,
     cup_from_permutation,
     region_structure,
@@ -12,6 +13,7 @@ from relcat.generators import (
 from relcat.protocols import (
     PreconditionError,
     ProtocolInstance,
+    Verification,
     check_correctness,
     check_correctness_protocol_form,
     check_dh,
@@ -340,19 +342,19 @@ class TestEncryptionNotInvertible:
         )
         with pytest.raises(PreconditionError) as fresh:
             check_encryption_not_invertible(constant)
-        with pytest.raises(PreconditionError) as held:
-            check_encryption_not_invertible(
-                constant, check_security(constant, "S1")
-            )
-        assert str(held.value) == str(fresh.value)
+        record = Verification(constant)
+        assert not record["S1"].holds
+        held = record["encryption_not_invertible"]
+        assert held.refused and not held.holds
+        assert held.witness == str(fresh.value)
 
     def test_held_primary_security_verdict_is_used(self, monkeypatch):
         import relcat.protocols as protocols
 
-        inst = single_bit_instance()
-        s1 = check_security(inst, "S1")
+        record = Verification(single_bit_instance())
+        assert record["S1"].holds
         monkeypatch.setattr(protocols, "check_security", None)
-        assert check_encryption_not_invertible(inst, s1).holds
+        assert record["encryption_not_invertible"].holds
 
 
 class TestSecretSharing:
@@ -378,6 +380,72 @@ class TestSecretSharing:
         inst = result.instance
         assert inst.message_set.size == 2
         assert inst.recombine == single_bit_instance().encrypt
+
+
+def single_message_instance() -> ProtocolInstance:
+    """Correct at sizes (1, 2, 1), but decryption merges the two keys."""
+    p, k, c = FiniteSet(1), FiniteSet(2), FiniteSet(1)
+    merge = make(2, 1, [(0, 0), (1, 0)])
+    return ProtocolInstance(
+        p, k, c, merge, ControlledOp(c, k, p, (merge,)), canonical_cup(k)
+    )
+
+
+class TestVerification:
+    def test_each_check_is_decided_at_most_once(self, monkeypatch):
+        import relcat.protocols as protocols
+
+        calls = []
+        for name, (hypothesis, decide) in protocols._CHECKS.items():
+            def counted(record, _decide=decide):
+                calls.append(_decide)
+                return _decide(record)
+
+            monkeypatch.setitem(protocols._CHECKS, name, (hypothesis, counted))
+        record = Verification(group_instance(3))
+        for _ in range(2):
+            assert all(record[name].holds for name in protocols._CHECKS)
+        # the three sharing equations are decided together
+        assert len(calls) == len(set(calls)) == len(protocols._CHECKS) - 2
+
+    def test_refusals_follow_the_preconditions(self):
+        record = Verification(broken_decrypt_instance())
+        correctness = record["correctness"]
+        assert not correctness.holds and not correctness.refused
+        inverse = record["decryption_invertible"]
+        assert inverse.refused and inverse.witness == (
+            f"decryption inverse requires correctness; {correctness.witness}"
+        )
+        # a refusal propagates with its own words
+        assert record["encryption_rebuilt_from_inverse"].witness == inverse.witness
+        assert record["sharing_recombination"].witness == (
+            f"secret sharing is derived from a correct scheme; {correctness.witness}"
+        )
+        assert record.inverse is None
+
+    def test_rebuild_is_refused_without_an_inverse(self):
+        record = Verification(single_message_instance())
+        assert record["correctness"].holds
+        inverse = record["decryption_invertible"]
+        assert not inverse.holds and not inverse.refused
+        assert inverse.witness.endswith("a decryption fiber is not a bijection")
+        assert not record.fibers_bijective
+        rebuilt = record["encryption_rebuilt_from_inverse"]
+        assert rebuilt.refused and rebuilt.witness == (
+            f"reconstruction requires an invertible decryption; {inverse.witness}"
+        )
+        with pytest.raises(PreconditionError, match="^reconstruction requires"):
+            rebuild_encryption(single_message_instance())
+
+    def test_public_checks_agree_with_the_record(self):
+        inst = group_instance(3)
+        record = Verification(inst)
+        assert check_correctness(inst) == record["correctness"]
+        assert check_security(inst, "S3") == record["S3"]
+        dinv, verdict = derive_decryption_inverse(inst)
+        assert verdict == record["decryption_invertible"]
+        assert equal(dinv, record.inverse).equal
+        assert security_implications(inst) == record.implications()
 
 
 class TestKeyExchange:
