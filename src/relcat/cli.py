@@ -50,7 +50,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = dsl.run_source(text)
@@ -131,7 +131,7 @@ def cmd_verify_otp(args) -> int:
             "encryption_rebuilt_from_inverse"
         )
     notes: dict[str, str] = {}
-    if inst.plaintexts.size <= 1 and not results["encryption_not_invertible"].refused:
+    if inst.plaintexts.size <= 1 and results["encryption_not_invertible"].holds:
         notes["encryption_not_invertible"] = (
             "message space is trivial: encryption is invertible, "
             "which the statement exempts"
@@ -390,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # counterexamples name relations by their bit codes, which pass
+    # Python's default limit of 4300 digits from about 14,300 bits
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -77,7 +77,6 @@ __all__ = [
     "format_source",
     "parse",
     "run_source",
-    "structural_key",
 ]
 
 
@@ -161,15 +160,15 @@ class TypeExpr:
 
 @dataclass(frozen=True)
 class TypeUnit(TypeExpr):
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class TypeName(TypeExpr):
     name: str
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,8 @@ class Term:
 @dataclass(frozen=True)
 class NameTerm(Term):
     name: str
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -200,8 +199,8 @@ class BuiltinCall(Term):
     op: str
     type_args: tuple[TypeExpr, ...]
     blocks: tuple[tuple[Elem, RelData], ...] = ()
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,8 @@ class SetDecl:
     name: str
     size: int
     labels: Optional[tuple[str, ...]]
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -237,32 +236,32 @@ class GenDecl:
     dom: TypeExpr
     cod: TypeExpr
     data: RelData
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class BuiltinDecl:
     name: str
     call: BuiltinCall
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class DefDecl:
     name: str
     term: Term
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class CheckDecl:
     lhs: str
     rhs: str
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 Statement = Union[SetDecl, GenDecl, BuiltinDecl, DefDecl, CheckDecl]
@@ -575,12 +574,13 @@ def _dense_bits(domain: OneCell, codomain: OneCell) -> int:
     )
 
 
-# Each builtin on an n-element set holds at most n ** k bits in one matrix,
-# counting the axioms checked while it is built: a cup's snake equations
-# are n x n boolean products, a region's Frobenius check tensors its
-# scalar compare with a wire.
+# Each builtin on an n-element set builds at most n ** k bits in one
+# matrix: a cup or cap is an n x n matrix, and a region's largest matrix is
+# its scalar copy or compare, n x n^2.  The region's bound also keeps its
+# n^2 Python-level components few.  A controlled cell is charged as its
+# region or as its scalar form, n^2 * |in| * |out|, whichever is larger.
 _BUILTIN_BITS_EXPONENT = {"id": 2, "cup": 2, "cap": 2, "delete": 1, "create": 1}
-_REGION_BITS_EXPONENT = 5
+_REGION_BITS_EXPONENT = 3
 
 
 @dataclass
@@ -634,13 +634,9 @@ def _type_fiber(env: Env, t: TypeExpr) -> FiniteSet:
 
 
 def _type_one_cell(env: Env, t: TypeExpr) -> OneCell:
-    factors = _flatten_type(env, t)
-    if not factors:
+    if not _flatten_type(env, t):
         return identity_one_cell(FiniteSet(1))
-    fiber = factors[0]
-    for f in factors[1:]:
-        fiber = product_set(fiber, f)
-    return scalar_one_cell(fiber)
+    return scalar_one_cell(_type_fiber(env, t))
 
 
 def _resolve_elem(factor: FiniteSet, elem: Elem, where) -> int:
@@ -702,8 +698,6 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
     if op == "controlled":
         public_t, dom_t, cod_t = call.type_args
         public = _type_fiber(env, public_t)
-        in_f = _flatten_type(env, dom_t)
-        out_f = _flatten_type(env, cod_t)
         in_set = _type_fiber(env, dom_t)
         out_set = _type_fiber(env, cod_t)
         n = public.size
@@ -719,14 +713,7 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
                 raise ElaborationError(
                     f"public value {key!r} given twice", call.line, call.col
                 )
-            pairs = [
-                (
-                    _encode_tuple(in_f, a, call),
-                    _encode_tuple(out_f, b, call),
-                )
-                for a, b in data
-            ]
-            by_value[v] = make(in_set, out_set, pairs)
+            by_value[v] = _build_rel(env, dom_t, cod_t, data, call)
         missing = [v for v in range(public.size) if v not in by_value]
         if missing:
             raise ElaborationError(
@@ -1062,50 +1049,3 @@ def format_source(sf: SourceFile) -> str:
         elif isinstance(stmt, CheckDecl):
             lines.append(f"check {stmt.lhs} == {stmt.rhs}")
     return "\n".join(lines) + "\n"
-
-
-def structural_key(sf: SourceFile):
-    """Canonical content of a source file, for round-trip comparison.
-
-    Positions are erased; everything else (names, sizes, labels, relation
-    data, term shapes) is kept.
-    """
-
-    def term_key(t: Term):
-        if isinstance(t, NameTerm):
-            return ("name", t.name)
-        if isinstance(t, BuiltinCall):
-            return ("builtin", t.op, tuple(map(type_key, t.type_args)), t.blocks)
-        a, b = (
-            (t.first, t.second) if isinstance(t, SeqTerm) else (t.left, t.right)
-        )
-        return (_OPS[type(t)], term_key(a), term_key(b))
-
-    def type_key(t: TypeExpr):
-        if isinstance(t, TypeUnit):
-            return ("1",)
-        if isinstance(t, TypeName):
-            return ("set", t.name)
-        return ("*", type_key(t.left), type_key(t.right))
-
-    out = []
-    for stmt in sf.statements:
-        if isinstance(stmt, SetDecl):
-            out.append(("set", stmt.name, stmt.size, stmt.labels))
-        elif isinstance(stmt, GenDecl):
-            out.append(
-                (
-                    "gen",
-                    stmt.name,
-                    type_key(stmt.dom),
-                    type_key(stmt.cod),
-                    stmt.data,
-                )
-            )
-        elif isinstance(stmt, BuiltinDecl):
-            out.append(("builtin", stmt.name, term_key(stmt.call)))
-        elif isinstance(stmt, DefDecl):
-            out.append(("def", stmt.name, term_key(stmt.term)))
-        elif isinstance(stmt, CheckDecl):
-            out.append(("check", stmt.lhs, stmt.rhs))
-    return tuple(out)

@@ -580,9 +580,9 @@ class Verification:
 
 def refuse_oversized(p: int, k: int, c: int) -> None:
     """Refuse sizes whose checks would build one matrix of more than
-    `MAX_DENSE_BITS` bits.  The rebuild of encryption builds (p·k·c)² bits
-    and the ciphertext region's Frobenius check builds c^5."""
-    bits = max((p * k * c) ** 2, c**5)
+    `MAX_DENSE_BITS` bits.  The rebuild of encryption builds (p·k·c)² bits,
+    and the ciphertext region is charged c³, as in the DSL."""
+    bits = max((p * k * c) ** 2, c**3)
     if bits > MAX_DENSE_BITS:
         raise ValueError(
             f"checking an instance of sizes {p}x{k}x{c} builds a matrix "

@@ -18,7 +18,7 @@ import pytest
 import oracle_naive
 import oracle_snake
 from relcat.cells import equal, hcompose_two, vcompose
-from relcat.dsl import format_source, parse, run_source, structural_key
+from relcat.dsl import format_source, parse, run_source
 from relcat.generators import (
     ControlledOp,
     canonical_cup,
@@ -410,7 +410,7 @@ def test_criterion_10_dsl_round_trip_and_oracle_agreement():
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         sf = parse(text)
-        if structural_key(parse(format_source(sf))) != structural_key(sf):
+        if parse(format_source(sf)) != sf:
             failures.append(f"round trip failed: {os.path.basename(path)}")
         if run_source(text).exit_code != 0:
             failures.append(f"checks failed: {os.path.basename(path)}")

@@ -71,21 +71,65 @@ class TestCheck:
                 "set A = 3000\ndef x = id(A) * id(A)\ncheck x == x\n",
                 "81000000000000 dense bits (73.7 TiB)",
             ),
+            # one element above each builtin's limit of 2^28 bits
+            (
+                "set A = 646\ndef x = copy(A)\ncheck x == x\n",
+                "269586136 dense bits (257.1 MiB)",
+            ),
+            (
+                "set A = 646\nset B = 1\n"
+                "builtin x = controlled(A, B -> B, {0: {}})\n",
+                "269586136 dense bits (257.1 MiB)",
+            ),
+            (
+                "set A = 2\nset B = 8193\n"
+                "builtin x = controlled(A, B -> B, {0: {}, 1: {}})\n",
+                "268500996 dense bits (256.1 MiB)",
+            ),
+            (
+                "set A = 16385\ndef x = cup(A)\ncheck x == x\n",
+                "268468225 dense bits (256.0 MiB)",
+            ),
+            (
+                "set A = 268435457\ndef x = delete(A)\ncheck x == x\n",
+                "268435457 dense bits (256.0 MiB)",
+            ),
+            (b"\xff\xfe\x00bad", "can't decode byte 0xff"),
         ],
     )
     @pytest.mark.parametrize("command", ["check", "verify-otp"])
     def test_refused_input_exit_two(self, capsys, tmp_path, text, message, command):
         path = tmp_path / "input.rcat"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = [command, str(path)] if command == "check" else [
             command, "--file", str(path)
         ]
+        started = time.perf_counter()
         assert main(argv) == 2
+        assert time.perf_counter() - started < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "set S = 48\ndef x = copy(S)\ncheck x == x\n",
+            "set A = 2000\ndef loop = cup(A) ; cap(A)\ndef unit = id(1)\n"
+            "check loop == unit\n",
+            "set A = 10000000\ndef x = delete(A)\ncheck x == x\n",
+        ],
+    )
+    def test_large_builtins_are_checked_at_once(self, capsys, tmp_path, text):
+        # no builtin proves its own laws again while it is built
+        path = tmp_path / "input.rcat"
+        path.write_text(text, encoding="utf-8")
+        started = time.perf_counter()
+        assert main(["check", str(path)]) == 0
+        assert time.perf_counter() - started < 2.0
+        assert "EQUAL" in capsys.readouterr().out
 
     def test_json_matches_schema(self, capsys):
         assert main(["check", spec("snake_equations.rcat"), "--format", "json"]) == 0
@@ -151,6 +195,22 @@ class TestVerifyOtp:
         monkeypatch.setattr(protocols, "_verdict", counted)
         main(["verify-otp", *argv])
         return calls
+
+    def test_large_ciphertext_region_is_checked_at_once(self, capsys, tmp_path):
+        # one message, one key and 48 ciphertexts, of which only 0 is used
+        blocks = ", ".join(["0: {0->0}"] + [f"{c}: {{}}" for c in range(1, 48)])
+        path = tmp_path / "wide.rcat"
+        path.write_text(
+            "set P = 1\nset K = 1\nset C = 48\n"
+            "gen encrypt : P * K -> C = {(0,0)->0}\n"
+            f"builtin decrypt = controlled(C, K -> P, {{{blocks}}})\n"
+            "builtin pad = cup(K)\n",
+            encoding="utf-8",
+        )
+        started = time.perf_counter()
+        assert main(["verify-otp", "--file", str(path)]) == 1
+        assert time.perf_counter() - started < 2.0
+        assert "correctness: FAIL" in capsys.readouterr().out
 
     def test_each_derivation_runs_once(self, monkeypatch):
         assert self._decisions(monkeypatch, ["--group", "4"]) == collections.Counter([
@@ -417,6 +477,13 @@ class TestTheorems:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sampled"] == 2000
 
+    def test_counterexamples_with_long_codes_are_printed(self, capsys):
+        # an encryption code of 14,400 bits has 4,335 decimal digits
+        assert main(["theorems", "--sizes", "1,300,48", "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "counterexample: triple" in captured.out
+
     def test_sampled_with_many_keys_is_fast(self, capsys):
         # each pad is unranked from one draw, not picked from all 12! pads
         started = time.perf_counter()
@@ -453,8 +520,11 @@ class TestTheorems:
         (["verify-otp", "--group", "26"], "308915776 dense bits (294.6 MiB)"),
         (["verify-otp", "--group", "40"], "4096000000 dense bits (3.8 GiB)"),
         (["verify-dh", "--prime", "23"], "exceeds the cap of 19"),
-        (["theorems", "--sizes", "1,60,60", "--samples", "2"],
-         "777600000 dense bits (741.6 MiB)"),
+        # one element above the limit of each term of the instance cost
+        (["theorems", "--sizes", "1,129,129", "--samples", "2"],
+         "276922881 dense bits (264.1 MiB)"),
+        (["theorems", "--sizes", "1,1,646", "--samples", "2"],
+         "269586136 dense bits (257.1 MiB)"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):

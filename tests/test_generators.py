@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import oracle_controlled
 import oracle_snake
 from relcat import generators, relations
 from relcat.cells import (
@@ -160,6 +161,31 @@ class TestSnakeOracle:
                     s, with_cup.cup, with_cap.cap
                 )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_on_random_pairs(self, n):
+        # random relations almost never satisfy the snakes, so half of the
+        # caps are the transpose of a random permutation cup, some of them
+        # with one bit flipped
+        rng = np.random.default_rng(n)
+        s = FiniteSet(n)
+        pair = product_set(s, s)
+        held = 0
+        for _ in range(200):
+            if rng.random() < 0.5:
+                cup_bits = rng.random((n, n)) < 0.3
+                cap_bits = rng.random((n, n)) < 0.3
+            else:
+                cup_bits = np.eye(n, dtype=bool)[rng.permutation(n)]
+                cap_bits = cup_bits.T.copy()
+                if rng.random() < 0.5:
+                    cap_bits[tuple(rng.integers(n, size=2))] ^= True
+            cup = Rel(FiniteSet(1), pair, cup_bits.reshape(n * n, 1))
+            cap = Rel(pair, FiniteSet(1), cap_bits.reshape(1, n * n))
+            got = snake_equations_hold(s, cup, cap)
+            assert got == oracle_snake.snake_equations_hold(s, cup, cap)
+            held += got
+        assert 0 < held < 200
+
     @pytest.mark.parametrize(
         "cup, cap",
         [
@@ -210,9 +236,13 @@ class TestDeleteCreate:
 
 
 class TestRegionStructure:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(9))
     def test_frobenius_axioms(self, n):
         report = frobenius_check(region_structure(n))
+        assert report.passed, report.failures()
+
+    def test_frobenius_axioms_at_sixteen(self):
+        report = frobenius_check(region_structure(16))
         assert report.passed, report.failures()
 
     def test_unit_region_generators_trivial(self):
@@ -309,6 +339,7 @@ class TestControlled:
         for v in range(2):
             assert cell.component(v, v) == identity(3)
         assert cell.component(0, 1).is_empty()
+        assert equal(cell, oracle_controlled.copy_rewrite(op))
 
     def test_family_length_mismatch(self):
         with pytest.raises(Exception):
@@ -330,7 +361,7 @@ class TestControlled:
             make(q, q, [(x, (a * x) % q) for x in range(q)]) for a in range(q)
         )
         op = ControlledOp(FiniteSet(q), FiniteSet(q), FiniteSet(q), fam)
-        controlled(op)  # lemma asserted at construction
+        assert equal(controlled(op), oracle_controlled.copy_rewrite(op))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_copy_rewrite_equals_original_for_random_ops(self, n, builder):
@@ -339,7 +370,15 @@ class TestControlled:
                 builder.rel(FiniteSet(2), FiniteSet(2)) for _ in range(n)
             )
             op = ControlledOp(FiniteSet(n), FiniteSet(2), FiniteSet(2), fam)
-            controlled(op)  # the rewrite equality is asserted inside
+            assert equal(controlled(op), oracle_controlled.copy_rewrite(op))
+
+    def test_oracle_tells_the_family_members_apart(self):
+        flip = make(2, 2, [(0, 1), (1, 0)])
+        op = ControlledOp(FiniteSet(2), FiniteSet(2), FiniteSet(2), (identity(2), flip))
+        swapped = ControlledOp(
+            FiniteSet(2), FiniteSet(2), FiniteSet(2), (flip, identity(2))
+        )
+        assert not equal(controlled(swapped), oracle_controlled.copy_rewrite(op))
 
     def test_mirror_scalar_form(self):
         op = ControlledOp(

@@ -480,8 +480,8 @@ class TestKeyExchange:
     def test_no_dense_layer_at_thirteen(self, monkeypatch, include_identity, erase):
         # every dense product is built by relations._materialise; the
         # q^4 x q^4 layers (q^8 bits) must stay factored, and nothing built
-        # may exceed q^5 bits.  The region structure's cached Frobenius
-        # check counts too, so it is run afresh.
+        # may exceed q^5 bits.  The cached region structure counts too, so
+        # it is built afresh.
         q, built = 13, []
         materialise = relations._materialise
         region_structure.cache_clear()
