@@ -25,9 +25,8 @@ described; the algebra itself only ever needs fiber sizes and paths.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -101,6 +100,10 @@ class OneCell:
         else:
             object.__setattr__(self, "word", tuple(self.word))
             object.__setattr__(self, "chain", tuple(self.chain))
+        # per target, the source of each ranked path into it from any
+        # source, listed on first use by `_junctions`; not a field, so it
+        # takes no part in comparing or hashing cells
+        object.__setattr__(self, "_sources_by_rank", {})
 
     def fiber(self, t: int, s: int) -> FiniteSet:
         return self.fibers[t][s]
@@ -110,41 +113,47 @@ class OneCell:
 
     def paths(self, t: int, s: int) -> list[Path]:
         """Elements of fiber (t, s) as ranked paths through the word."""
-        return list(_word_paths_cached(self.word, self.chain, t, s))
+        return [p for p, _ in _word_paths(self.word, self.chain, t, (s,))]
+
+    def sources_by_rank(self, t: int) -> np.ndarray:
+        """The source of every path into t, from every source, ranked by
+        the reversed path and then the source."""
+        if t not in self._sources_by_rank:
+            ranked = _word_paths(self.word, self.chain, t, range(self.src.size))
+            self._sources_by_rank[t] = np.array([s for _, s in ranked], dtype=np.intp)
+        return self._sources_by_rank[t]
 
     def is_monoidal_unit(self) -> bool:
         return not self.word and self.src.size == 1
 
 
-@functools.lru_cache(maxsize=8192)
-def _word_paths_cached(
-    word: tuple[Atom, ...], chain: tuple[FiniteSet, ...], t: int, s: int
-) -> tuple[Path, ...]:
-    if not word:
-        return ((),) if t == s else ()
-    # partial paths keyed by the middle value they currently end at
-    states: dict[int, list[Path]] = {s: [()]}
+def _word_paths(
+    word: tuple[Atom, ...], chain: tuple[FiniteSet, ...], t: int, sources: Iterable[int]
+) -> list[tuple[Path, int]]:
+    """Every path into t from each of `sources`, paired with its source,
+    sorted by the reversed path and then the source."""
+    # partial paths with their sources, keyed by the middle value they
+    # currently end at
+    states: dict[int, list[tuple[Path, int]]] = {s: [((), s)] for s in sources}
     for k, atom in enumerate(word):
         is_last = k == len(word) - 1
         targets = [t] if is_last else list(range(chain[k + 1].size))
-        new_states: dict[int, list[Path]] = {}
+        new_states: dict[int, list[tuple[Path, int]]] = {}
         for j in targets:
-            acc: list[Path] = []
+            acc: list[tuple[Path, int]] = []
             for i, partials in states.items():
                 fiber = atom[j][i]
                 if fiber.size == 0:
                     continue
-                for p in partials:
+                for p, s in partials:
                     for e in range(fiber.size):
-                        acc.append(p + (e,) if k == 0 else p + (i, e))
+                        acc.append((p + (e,) if k == 0 else p + (i, e), s))
             if acc:
                 new_states[j] = acc
         states = new_states
-        if not states:
-            return ()
     paths = states.get(t, [])
-    paths.sort(key=lambda p: tuple(reversed(p)))
-    return tuple(paths)
+    paths.sort(key=lambda ps: (ps[0][::-1], ps[1]))
+    return paths
 
 
 def _path_label(
@@ -185,20 +194,19 @@ def _path_label(
     return parts[0] if len(parts) == 1 else "(" + ",".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class _PathLabels:
-    """Label recipe of composite fiber (t, s): one `_path_label` per path,
-    or no labels when some path has none or two coincide."""
+class _PathLabels(tuple):
+    """Label recipe of composite fiber (t, s), the tuple (word, chain, t,
+    s): one `_path_label` per path, or no labels when some path has none
+    or two coincide.  A plain tuple, so that a composite cell's many fibers
+    are cheap to build and compare by value."""
 
-    word: tuple[Atom, ...]
-    chain: tuple[FiniteSet, ...]
-    t: int
-    s: int
+    __slots__ = ()
 
     def __call__(self) -> Optional[tuple[str, ...]]:
+        word, chain, t, s = self
         labels = []
-        for p in _word_paths_cached(self.word, self.chain, self.t, self.s):
-            lab = _path_label(self.word, self.chain, self.t, self.s, p)
+        for p, _ in _word_paths(word, chain, t, (s,)):
+            lab = _path_label(word, chain, t, s, p)
             if lab is None:
                 return None
             labels.append(lab)
@@ -326,13 +334,13 @@ def hcompose_one(a: OneCell, b: OneCell) -> OneCell:
         )
     word = a.word + b.word
     chain = a.chain[:-1] + b.chain
-    sizes = _size_matrix(b) @ _size_matrix(a)
+    sizes = (_size_matrix(b) @ _size_matrix(a)).tolist()
     fibers = tuple(
         tuple(
-            FiniteSet(int(sizes[u, s]), _PathLabels(word, chain, u, s))
-            for s in range(a.src.size)
+            FiniteSet(size, _PathLabels((word, chain, u, s)))
+            for s, size in enumerate(row)
         )
-        for u in range(b.dst.size)
+        for u, row in enumerate(sizes)
     )
     return OneCell(a.src, b.dst, fibers, word=word, chain=chain)
 
@@ -367,15 +375,12 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
             return block.retyped(dom, cod)
         bits = np.zeros((cod.size, dom.size), dtype=bool)
         if bits.size:
-            t_in = _junctions(alpha.domain, beta.domain, u, s)
-            t_out = _junctions(alpha.codomain, beta.codomain, u, s)
-            for t in range(mid):
-                rows = np.flatnonzero(t_out == t)
-                cols = np.flatnonzero(t_in == t)
-                if rows.size and cols.size:
-                    bits[np.ix_(rows, cols)] = product_rel(
-                        beta.component(u, t), alpha.component(t, s)
-                    ).bits
+            ins, cols = _groups(_junctions(alpha.domain, beta.domain, u, s))
+            outs, rows = _groups(_junctions(alpha.codomain, beta.codomain, u, s))
+            for t in rows.keys() & cols.keys():
+                bits[np.ix_(outs[rows[t]], ins[cols[t]])] = product_rel(
+                    beta.component(u, t), alpha.component(t, s)
+                ).bits
         bits.setflags(write=False)
         return Rel(dom, cod, bits)
 
@@ -386,6 +391,17 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     return TwoCell(domain, codomain, components)
 
 
+def _groups(junctions: np.ndarray) -> tuple[np.ndarray, dict[int, slice]]:
+    """The positions of a junction array sorted by middle value, stably,
+    and the slice of them that holds each middle value."""
+    order = np.argsort(junctions, kind="stable")
+    values, starts = np.unique(junctions[order], return_index=True)
+    bounds = [*starts.tolist(), order.size]
+    return order, {
+        t: slice(a, b) for t, a, b in zip(values.tolist(), bounds, bounds[1:])
+    }
+
+
 def _junctions(a_cell: OneCell, b_cell: OneCell, u: int, s: int) -> np.ndarray:
     """The middle value of each ranked path of composite fiber (u, s).
 
@@ -393,22 +409,19 @@ def _junctions(a_cell: OneCell, b_cell: OneCell, u: int, s: int) -> np.ndarray:
     the middle value t, then its a-part; so paths are ordered by b-path,
     then t, then a-rank.  In particular the paths through one middle value
     t are ordered by b-rank, then a-rank: exactly the Kronecker order of
-    (b-fiber (u, t)) x (a-fiber (t, s)).
+    (b-fiber (u, t)) x (a-fiber (t, s)).  So each b-path into u from t
+    stands, in its rank, for a run of as many paths as a-fiber (t, s) has
+    elements.
     """
     if not a_cell.word:  # an identity: every path passes through s
         return np.full(b_cell.fiber(u, s).size, s)
     if not b_cell.word:
         return np.full(a_cell.fiber(u, s).size, u)
-    runs = sorted(
-        (b_path[::-1], t, a_cell.fiber(t, s).size)
-        for t in range(a_cell.dst.size)
-        if a_cell.fiber(t, s).size
-        for b_path in b_cell.paths(u, t)
+    middles = b_cell.sources_by_rank(u)
+    runs = np.array(
+        [a_cell.fiber(t, s).size for t in range(a_cell.dst.size)], dtype=np.intp
     )
-    return np.repeat(
-        np.array([t for _, t, _ in runs], dtype=np.intp),
-        [n for _, _, n in runs],
-    )
+    return np.repeat(middles, runs[middles])
 
 
 def tensor_one(a: OneCell, b: OneCell) -> OneCell:

@@ -266,6 +266,11 @@ def cmd_theorems(args) -> int:
         if args.samples < 0:
             raise ValueError(f"--samples must not be negative, got {args.samples}")
         spec = search.SearchSpec(*sizes, budget=_budget())
+        if args.samples > spec.budget:
+            raise ValueError(
+                f"{args.samples} samples exceed the budget of {spec.budget}; "
+                f"raise RELCAT_BUDGET to override"
+            )
         if args.samples:
             protocols.refuse_oversized(*sizes)
     except ValueError as exc:

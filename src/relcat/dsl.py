@@ -949,7 +949,10 @@ class SourceReport:
 
 
 def run_source(text: str) -> SourceReport:
-    """Parse, elaborate, and run every check statement of a source file."""
+    """Parse, elaborate, and run every check statement of a source file.
+
+    A source without a check statement is an error, not a vacuous pass.
+    """
     try:
         env = elaborate(parse(text))
         reports = tuple(
@@ -957,6 +960,8 @@ def run_source(text: str) -> SourceReport:
         )
     except (ParseError, ElaborationError) as exc:
         return SourceReport((), str(exc))
+    if not reports:
+        return SourceReport((), "the source has no check statement")
     return SourceReport(reports)
 
 

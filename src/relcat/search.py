@@ -23,6 +23,26 @@ encrypts to the block.  Read off the diagram equations, the conditions are:
 Each key's options are the subsets of one allowed column, which
 `_BlockSolver` reads off the bit codes.  Records are emitted in increasing
 order of the (encrypt, decrypt, pad) bit codes, so runs are reproducible.
+
+The structural theorems split the same way.  Write E for the block's
+encryption row as a P x K matrix and U for d read through the pad (column
+x of U is column π(x) of d).  On a correct scheme, with boolean products:
+
+- every decryption fiber is a bijection when every d has exactly one bit
+  in each row and each column;
+- decryption is inverted by the cell built from encryption when the fibers
+  are bijections and E·Uᵀ = I_P and Uᵀ·E = I_K on every block; U is then a
+  permutation matrix, so the two products are identities exactly when
+  E = U;
+- encryption is rebuilt from that inverse exactly when it exists, and the
+  rebuild is refused otherwise;
+- S1 and S2 hold when every message row of every E is nonempty, S3 when
+  every key column is, and S4 when every message row of every d is;
+- encryption is invertible exactly when the whole relation is a bijection.
+
+`verify_theorems` and `sample_candidates` decide these on the bit codes.
+Two-cells are built, through `protocols.Verification`, only for a record
+that fails some theorem, to word its counterexamples.
 """
 
 from __future__ import annotations
@@ -225,6 +245,48 @@ class _BlockSolver:
             out |= part << shift if shift >= 0 else part >> -shift
         return out
 
+    def is_permutation(self, code: int) -> bool:
+        """Whether the code has exactly one bit in each row and column."""
+        return (
+            self.p == self.k
+            and code.bit_count() == self.p
+            and all(code & r for r in self.rows)
+            and all(code & col for col in self.cols)
+        )
+
+    def verdicts(self, record: SolutionRecord) -> dict[str, bool]:
+        """The theorems' statements on a correct record, by the per-block
+        forms of the module docstring, named as in `protocols.Verification`
+        (``fibers_bijective`` is its attribute of that name)."""
+        p, k, c = record.sizes
+        width = p * k
+        e_rows = [
+            record.encrypt_code >> (c - 1 - i) * width & (1 << width) - 1
+            for i in range(c)
+        ]
+        unpad = sorted(range(k), key=record.pad_mapping.__getitem__)
+        u_blocks = [self.through_pad(d, unpad) for d in record.decrypt_codes]
+        bijective = all(self.is_permutation(d) for d in record.decrypt_codes)
+        inverse = bijective and e_rows == u_blocks
+        s1 = all(e & r for e in e_rows for r in self.rows)
+        # e, from P x K to C, is a bijection: each ciphertext has exactly
+        # one preimage, no two the same, and there are as many as pairs
+        e_bijection = (
+            width == c
+            and all(e and not e & (e - 1) for e in e_rows)
+            and len(set(e_rows)) == c
+        )
+        return {
+            "fibers_bijective": bijective,
+            "decryption_invertible": inverse,
+            "encryption_rebuilt_from_inverse": inverse,
+            "S1": s1,
+            "S2": s1,
+            "S3": all(e & col for e in e_rows for col in self.cols),
+            "S4": all(d & r for d in record.decrypt_codes for r in self.rows),
+            "encryption_not_invertible": s1 and e_bijection == (p <= 1),
+        }
+
 
 def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
     """Enumerate solutions as per-ciphertext products.
@@ -351,10 +413,30 @@ class TheoremReport:
 
 
 def _check_theorems_on(
+    record: SolutionRecord, solver: _BlockSolver, counterexamples: list[str]
+) -> bool:
+    """Returns True when the correct record also satisfies the primary
+    security property; appends a description for every violated theorem.
+
+    The theorems are decided on the bit codes (`_BlockSolver.verdicts`).
+    Only a record that fails one is checked again through whole two-cells,
+    which word its counterexamples.
+    """
+    holds = solver.verdicts(record)
+    derived = ["S2", "S3", "S4"]
+    if record.sizes[0] > 1:
+        derived.append("encryption_not_invertible")
+    if holds["encryption_rebuilt_from_inverse"] and (
+        not holds["S1"] or all(holds[name] for name in derived)
+    ):
+        return holds["S1"]
+    return _counterexamples_from_cells(record, counterexamples)
+
+
+def _counterexamples_from_cells(
     record: SolutionRecord, counterexamples: list[str]
 ) -> bool:
-    """Returns True when the record also satisfies the primary security
-    property; appends a description for every violated theorem."""
+    """`_check_theorems_on` through `protocols.Verification`."""
     from relcat.protocols import Verification
 
     checks = Verification(record.as_instance())
@@ -385,12 +467,17 @@ def verify_theorems(spec: SearchSpec) -> TheoremReport:
     bijection, encryption is rebuilt from the decryption inverse, and no
     relational inverse of encryption exists (unless messages are trivial);
     over those also satisfying the primary security property, the other
-    three properties hold.
+    three properties hold.  Each is decided per ciphertext block on the bit
+    codes, in the forms of the module docstring; two-cells are built only
+    to word the counterexamples of a record that fails one.
     """
     base = SearchSpec(*spec.sizes, budget=spec.budget)
     records = enumerate_solutions(base)
+    solver = _BlockSolver(spec.p_size, spec.k_size, base.constraints)
     counterexamples: list[str] = []
-    with_s1 = sum(_check_theorems_on(rec, counterexamples) for rec in records)
+    with_s1 = sum(
+        _check_theorems_on(rec, solver, counterexamples) for rec in records
+    )
     return TheoremReport(
         spec.sizes, candidate_count(base), len(records), with_s1,
         tuple(counterexamples),
@@ -406,8 +493,9 @@ def sample_candidates(
     toward plausible solutions (near-functional decryption families with
     the maximal compatible encryption), so the theorem checks are exercised
     on actual solutions.  Correctness is always checked honestly first, by
-    the enumeration's solver.  The pad is the permutation of lexicographic
-    rank ``rng.randrange(k!)``.
+    the enumeration's solver, and the theorems are then decided on each
+    correct record as in `verify_theorems`.  The pad is the permutation of
+    lexicographic rank ``rng.randrange(k!)``.
     """
     p, k, c = sizes
     rng = random.Random(seed)
@@ -448,7 +536,7 @@ def sample_candidates(
                 sizes, e_code, d_codes, tuple(pad), {"correctness": True}
             )
             solutions += 1
-            with_s1 += _check_theorems_on(record, counterexamples)
+            with_s1 += _check_theorems_on(record, solver, counterexamples)
     return TheoremReport(
         sizes, count, solutions, with_s1, tuple(counterexamples), sampled=count
     )

@@ -51,6 +51,37 @@ class TestCheck:
         assert main(["check", "/nonexistent.rcat"]) == 2
 
     @pytest.mark.parametrize(
+        "text", ["", "set A = 2\n", "set A = 2\ndef x = id(A)\n"]
+    )
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_source_without_checks_is_an_error(self, capsys, tmp_path, text, fmt):
+        path = tmp_path / "input.rcat"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        if fmt == "json":
+            payload = json.loads(captured.out)
+            jsonschema.validate(payload, schema("check_report.schema.json"))
+            assert payload["status"] == "error" and payload["checks"] == []
+            assert payload["error"] == "the source has no check statement"
+        else:
+            assert captured.out == ""
+            assert captured.err == "error: the source has no check statement\n"
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "otp_constant_encryption.rcat",
+            "otp_labelled_extra_decryption.rcat",
+            "otp_single_message.rcat",
+        ],
+    )
+    def test_instance_file_without_checks_is_an_error(self, capsys, name):
+        # these files declare an instance for verify-otp --file
+        assert main(["check", data(name)]) == 2
+        assert capsys.readouterr().err.count("error: ") == 1
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (
@@ -129,6 +160,16 @@ class TestCheck:
         started = time.perf_counter()
         assert main(["check", str(path)]) == 0
         assert time.perf_counter() - started < 2.0
+        assert "EQUAL" in capsys.readouterr().out
+
+    def test_region_copy_at_two_hundred_is_checked_at_once(self, capsys, tmp_path):
+        # each junction of the copy's 200 x 200 gap is ranked once per cell
+        path = tmp_path / "input.rcat"
+        text = "set S = 200\ndef x = copy(S)\ncheck x == x\n"
+        path.write_text(text, encoding="utf-8")
+        started = time.perf_counter()
+        assert main(["check", str(path)]) == 0
+        assert time.perf_counter() - started < 1.0
         assert "EQUAL" in capsys.readouterr().out
 
     def test_json_matches_schema(self, capsys):
@@ -354,6 +395,31 @@ def test_theorem_counterexamples_are_pinned(capsys, sizes, count):
     assert len(json.loads(want)["counterexamples"]) == count
 
 
+# stdout written by the commit before theorems were decided on the bit
+# codes, where the run took 6.3 s
+def test_exhaustive_theorems_at_three_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("RELCAT_BUDGET", str(10**21))
+    golden = data(os.path.join("golden", "theorems_3_3_3.json"))
+    with open(golden, "r", encoding="utf-8") as handle:
+        want = handle.read()
+    started = time.perf_counter()
+    assert main(["theorems", "--sizes", "3,3,3", "--format", "json"]) == 0
+    assert time.perf_counter() - started < 2.0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "name", ["theorems_2_2_2.json", "theorems_3_3_3_samples_2000_seed_1.json"]
+)
+def test_passing_theorems_build_no_cells(capsys, monkeypatch, name):
+    # every record passes, so no record reaches the whole-cell checks
+    def refuse(inst):
+        raise AssertionError("a passing record was checked through cells")
+
+    monkeypatch.setattr(protocols, "Verification", refuse)
+    test_search_output_is_pinned(capsys, name)
+
+
 class TestEnumerate:
     def test_singleton(self, capsys):
         assert main(["enumerate", "--sizes", "1,1,1", "--threads", "1"]) == 0
@@ -525,6 +591,8 @@ class TestTheorems:
          "276922881 dense bits (264.1 MiB)"),
         (["theorems", "--sizes", "1,1,646", "--samples", "2"],
          "269586136 dense bits (257.1 MiB)"),
+        (["theorems", "--sizes", "1,1,1", "--samples", "2000000000"],
+         "2000000000 samples exceed the budget of 1073741824"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):

@@ -354,6 +354,8 @@ class TestTheorems:
         assert not verdict.holds
 
     def test_primary_security_decided_once_per_solution(self, monkeypatch):
+        # through cells only for records that fail a theorem: none at
+        # (2,2,2), every one at (1,2,2), where no fiber is a bijection
         from relcat import protocols
 
         calls = []
@@ -365,13 +367,73 @@ class TestTheorems:
 
         monkeypatch.setattr(protocols, "check_security", counted)
         report = verify_theorems(SearchSpec(2, 2, 2))
-        assert calls.count("S1") == report.solutions == GOLDEN_CORRECT_222
+        assert report.solutions == GOLDEN_CORRECT_222 and calls == []
+        report = verify_theorems(SearchSpec(1, 2, 2))
+        assert calls.count("S1") == report.solutions == 98
 
     def test_sampled_fallback(self):
         report = sample_candidates((3, 3, 3), 4000, seed=11)
         assert report.passed
         assert report.sampled == 4000
         assert report.solutions > 0  # the guided half finds real solutions
+
+
+# sizes with at most 3 elements per carrier and at most a few hundred
+# correct records, on and off the diagonal |P| = |K|
+BIT_CODE_SIZES = [
+    (1, 1, 1), (1, 2, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2), (3, 3, 1),
+    (2, 2, 3), (2, 1, 2), (1, 1, 3), (1, 3, 1), (3, 3, 2),
+]
+UNBOUNDED = 2**100
+THEOREM_CHECKS = (
+    "decryption_invertible", "encryption_rebuilt_from_inverse",
+    "S1", "S2", "S3", "S4", "encryption_not_invertible",
+)
+
+
+class TestBitCodeVerdicts:
+    """`_BlockSolver.verdicts` against the whole-cell `Verification`."""
+
+    @staticmethod
+    def _assert_agree(sizes, records):
+        from relcat.protocols import Verification
+        from relcat.search import _BlockSolver
+
+        solver = _BlockSolver(sizes[0], sizes[1], frozenset({"correctness"}))
+        for record in records:
+            checks = Verification(record.as_instance())
+            want = {
+                "fibers_bijective": checks.fibers_bijective,
+                **{name: checks[name].holds for name in THEOREM_CHECKS},
+            }
+            assert solver.verdicts(record) == want, record.triple()
+
+    @pytest.mark.parametrize(
+        "sizes", BIT_CODE_SIZES, ids=[",".join(map(str, s)) for s in BIT_CODE_SIZES]
+    )
+    def test_every_correct_record(self, sizes):
+        records = enumerate_solutions(SearchSpec(*sizes, budget=UNBOUNDED))
+        self._assert_agree(sizes, records)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 2), (1, 3, 2)], ids=["2,3,2", "1,3,2"])
+    def test_seeded_sample_of_correct_records(self, sizes):
+        import random
+
+        records = enumerate_solutions(SearchSpec(*sizes))
+        self._assert_agree(sizes, random.Random(7).sample(records, 200))
+
+    def test_sizes_see_each_verdict_both_ways(self):
+        # S1, S2 and S4 hold on every correct record: coverage puts a bit
+        # in every message row of e and of d
+        from relcat.search import _BlockSolver
+
+        seen = set()
+        for sizes in BIT_CODE_SIZES:
+            solver = _BlockSolver(sizes[0], sizes[1], frozenset({"correctness"}))
+            for record in enumerate_solutions(SearchSpec(*sizes, budget=UNBOUNDED)):
+                seen.update(solver.verdicts(record).items())
+        both = {name for name, v in seen if v} & {name for name, v in seen if not v}
+        assert both == {"fibers_bijective", *THEOREM_CHECKS} - {"S1", "S2", "S4"}
 
 
 class TestRecordSerialization:
