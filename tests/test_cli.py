@@ -396,7 +396,7 @@ def test_theorem_counterexamples_are_pinned(capsys, sizes, count):
 
 
 # stdout written by the commit before theorems were decided on the bit
-# codes, where the run took 6.3 s
+# codes, where the run took over 6 s
 def test_exhaustive_theorems_at_three_are_pinned(capsys, monkeypatch):
     monkeypatch.setenv("RELCAT_BUDGET", str(10**21))
     golden = data(os.path.join("golden", "theorems_3_3_3.json"))
