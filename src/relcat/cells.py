@@ -67,49 +67,98 @@ Atom = tuple[tuple[FiniteSet, ...], ...]
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class OneCell:
     """A matrix of finite sets: fiber (t, s) for t in dst, s in src.
 
     ``word``/``chain`` record the factorization into atomic cells and the
     0-cells between them; cells constructed directly are single atoms, and
-    identity cells are the empty word.
+    identity cells are the empty word.  ``sizes`` is the integer matrix of
+    fiber sizes, read by everything that needs only the shape.  A
+    composite from `hcompose_one` is made from its sizes alone; each of its
+    fibers, with the label recipe of its paths, is made when first read.
+    Two cells are equal when their 0-cells, words and chains are, which
+    fixes their fibers.
     """
 
-    src: FiniteSet
-    dst: FiniteSet
-    fibers: tuple[tuple[FiniteSet, ...], ...]
-    word: tuple[Atom, ...] = None  # type: ignore[assignment]
-    chain: tuple[FiniteSet, ...] = None  # type: ignore[assignment]
+    __slots__ = ("src", "dst", "word", "chain", "sizes", "_fibers", "_sources_by_rank")
 
-    def __post_init__(self) -> None:
-        fibers = tuple(tuple(row) for row in self.fibers)
-        object.__setattr__(self, "fibers", fibers)
-        if len(fibers) != self.dst.size:
+    def __init__(
+        self,
+        src: FiniteSet,
+        dst: FiniteSet,
+        fibers: Iterable[Iterable[FiniteSet]],
+        word: Optional[tuple[Atom, ...]] = None,
+        chain: Optional[tuple[FiniteSet, ...]] = None,
+    ) -> None:
+        fibers = tuple(tuple(row) for row in fibers)
+        if len(fibers) != dst.size:
             raise ShapeError(
-                f"{len(fibers)} fiber rows for a target of size {self.dst.size}"
+                f"{len(fibers)} fiber rows for a target of size {dst.size}"
             )
         for row in fibers:
-            if len(row) != self.src.size:
+            if len(row) != src.size:
                 raise ShapeError(
-                    f"{len(row)} fiber columns for a source of size {self.src.size}"
+                    f"{len(row)} fiber columns for a source of size {src.size}"
                 )
-        if self.word is None:
-            object.__setattr__(self, "word", (fibers,))
-            object.__setattr__(self, "chain", (self.src, self.dst))
-        else:
-            object.__setattr__(self, "word", tuple(self.word))
-            object.__setattr__(self, "chain", tuple(self.chain))
+        sizes = np.array(
+            [[f.size for f in row] for row in fibers], dtype=np.int64
+        ).reshape(dst.size, src.size)
+        if word is None:
+            word, chain = (fibers,), (src, dst)
+        self._set(src, dst, tuple(word), tuple(chain), sizes, fibers)
+
+    @classmethod
+    def _composite(
+        cls,
+        src: FiniteSet,
+        dst: FiniteSet,
+        word: tuple[Atom, ...],
+        chain: tuple[FiniteSet, ...],
+        sizes: np.ndarray,
+    ) -> OneCell:
+        cell = cls.__new__(cls)
+        cell._set(src, dst, word, chain, sizes, {})
+        return cell
+
+    def _set(self, src, dst, word, chain, sizes, fibers) -> None:
+        sizes.setflags(write=False)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "_fibers", fibers)
         # per target, the source of each ranked path into it from any
-        # source, listed on first use by `_junctions`; not a field, so it
-        # takes no part in comparing or hashing cells
+        # source, listed on first use by `_junctions`
         object.__setattr__(self, "_sources_by_rank", {})
 
+    def __setattr__(self, name, value):
+        raise AttributeError("OneCell is immutable")
+
+    def _key(self):
+        return (self.src, self.dst, self.word, self.chain)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OneCell):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def fiber(self, t: int, s: int) -> FiniteSet:
-        return self.fibers[t][s]
+        if isinstance(self._fibers, tuple):
+            return self._fibers[t][s]
+        made = self._fibers.get((t, s))
+        if made is None:
+            made = FiniteSet(
+                int(self.sizes[t, s]), _PathLabels((self.word, self.chain, t, s))
+            )
+            self._fibers[t, s] = made
+        return made
 
     def fiber_sizes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(f.size for f in row) for row in self.fibers)
+        return tuple(map(tuple, self.sizes.tolist()))
 
     def paths(self, t: int, s: int) -> list[Path]:
         """Elements of fiber (t, s) as ranked paths through the word."""
@@ -230,11 +279,9 @@ def identity_one_cell(s: FiniteSet | int) -> OneCell:
 
 
 def one_cells_parallel(a: OneCell, b: OneCell) -> bool:
-    return (
-        a.src.size == b.src.size
-        and a.dst.size == b.dst.size
-        and a.fiber_sizes() == b.fiber_sizes()
-    )
+    # as `np.array_equal`, at a tenth of its cost on the small matrices
+    # that most cells have
+    return a.sizes.shape == b.sizes.shape and a.sizes.tobytes() == b.sizes.tobytes()
 
 
 @dataclass(frozen=True)
@@ -257,16 +304,14 @@ class TwoCell:
             len(row) != self.domain.src.size for row in components
         ):
             raise ShapeError("component matrix shape does not match the 0-cells")
+        doms, cods = self.domain.sizes.tolist(), self.codomain.sizes.tolist()
         for t, row in enumerate(components):
             for s, rel in enumerate(row):
-                if rel.src.size != self.domain.fiber(t, s).size or (
-                    rel.dst.size != self.codomain.fiber(t, s).size
-                ):
+                if rel.src.size != doms[t][s] or rel.dst.size != cods[t][s]:
                     raise ShapeError(
                         f"component ({t}, {s}) has shape "
                         f"{rel.src.size}->{rel.dst.size}, fibers are "
-                        f"{self.domain.fiber(t, s).size}->"
-                        f"{self.codomain.fiber(t, s).size}"
+                        f"{doms[t][s]}->{cods[t][s]}"
                     )
 
     def component(self, t: int, s: int) -> Rel:
@@ -334,19 +379,7 @@ def hcompose_one(a: OneCell, b: OneCell) -> OneCell:
         )
     word = a.word + b.word
     chain = a.chain[:-1] + b.chain
-    sizes = (_size_matrix(b) @ _size_matrix(a)).tolist()
-    fibers = tuple(
-        tuple(
-            FiniteSet(size, _PathLabels((word, chain, u, s)))
-            for s, size in enumerate(row)
-        )
-        for u, row in enumerate(sizes)
-    )
-    return OneCell(a.src, b.dst, fibers, word=word, chain=chain)
-
-
-def _size_matrix(a: OneCell) -> np.ndarray:
-    return np.array(a.fiber_sizes(), dtype=np.int64).reshape(a.dst.size, a.src.size)
+    return OneCell._composite(a.src, b.dst, word, chain, b.sizes @ a.sizes)
 
 
 def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
@@ -369,11 +402,11 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     mid = alpha.domain.dst.size
 
     def component(u: int, s: int) -> Rel:
-        dom, cod = domain.fiber(u, s), codomain.fiber(u, s)
+        dom, cod = int(domain.sizes[u, s]), int(codomain.sizes[u, s])
         if mid == 1:
             block = product_rel(beta.component(u, 0), alpha.component(0, s))
             return block.retyped(dom, cod)
-        bits = np.zeros((cod.size, dom.size), dtype=bool)
+        bits = np.zeros((cod, dom), dtype=bool)
         if bits.size:
             ins, cols = _groups(_junctions(alpha.domain, beta.domain, u, s))
             outs, rows = _groups(_junctions(alpha.codomain, beta.codomain, u, s))
@@ -414,14 +447,11 @@ def _junctions(a_cell: OneCell, b_cell: OneCell, u: int, s: int) -> np.ndarray:
     elements.
     """
     if not a_cell.word:  # an identity: every path passes through s
-        return np.full(b_cell.fiber(u, s).size, s)
+        return np.full(b_cell.sizes[u, s], s)
     if not b_cell.word:
-        return np.full(a_cell.fiber(u, s).size, u)
+        return np.full(a_cell.sizes[u, s], u)
     middles = b_cell.sources_by_rank(u)
-    runs = np.array(
-        [a_cell.fiber(t, s).size for t in range(a_cell.dst.size)], dtype=np.intp
-    )
-    return np.repeat(middles, runs[middles])
+    return np.repeat(middles, a_cell.sizes[middles, s])
 
 
 def tensor_one(a: OneCell, b: OneCell) -> OneCell:
@@ -547,9 +577,9 @@ def equal(a: TwoCell, b: TwoCell) -> EqualityResult:
                 ),
             ),
         )
-    if (
-        a.domain.fiber_sizes() != b.domain.fiber_sizes()
-        or a.codomain.fiber_sizes() != b.codomain.fiber_sizes()
+    if not (
+        one_cells_parallel(a.domain, b.domain)
+        and one_cells_parallel(a.codomain, b.codomain)
     ):
         return EqualityResult(
             False,

@@ -103,6 +103,9 @@ class Token:
 _PUNCT = ("->", "==", "=", ":", ";", ".", "*", "(", ")", "{", "}", ",")
 _IDENT_START = set(string.ascii_letters + "_")
 _IDENT_CONT = set(string.ascii_letters + string.digits + "_")
+# ASCII only: `str.isdigit` also accepts superscripts and other scripts'
+# digits, which `int` then refuses or reads as decimals
+_DIGITS = set(string.digits)
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -129,9 +132,9 @@ def _tokenize(text: str) -> list[Token]:
             out.append(Token("IDENT", text[start:i], line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             out.append(Token("INT", text[start:i], line, col))
             col += i - start

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from relcat import relations
 from relcat.cells import (
     CellDifference,
     TwoCell,
@@ -79,6 +80,7 @@ __all__ = [
     "derive_decryption_inverse",
     "dh_instance",
     "group_instance",
+    "instance_bits",
     "rebuild_encryption",
     "refuse_oversized",
     "secret_sharing_from_otp",
@@ -578,11 +580,33 @@ class Verification:
         return ImplicationReport(s1, *rest, vacuous, holds)
 
 
+def instance_bits(p: int, k: int, c: int) -> int:
+    """The largest matrix, in bits, that the checks of an instance of
+    sizes p x k x c build.
+
+    Correctness and S1 build the pad beside the plaintext wire, (p·k)²
+    bits, and the protocol form builds identities on a ciphertext paired
+    with a key or a plaintext, (k·c)² and (p·c)² bits.  The rebuild of
+    encryption, reached only when p = k, builds p·k³·c bits.  Larger
+    Kronecker products, such as the rebuild's (p·k·c)², are contracted and
+    never built (`relations.compose`), except that a product of at most
+    `relations._BOOL_MATMUL_MAX_WORK` cells is built when it is made.
+    """
+    bits = max(
+        (p * k) ** 2,
+        (k * c) ** 2,
+        (p * c) ** 2,
+        min((p * k * c) ** 2, relations._BOOL_MATMUL_MAX_WORK),
+    )
+    if p == k:
+        bits = max(bits, p * k**3 * c)
+    return bits
+
+
 def refuse_oversized(p: int, k: int, c: int) -> None:
     """Refuse sizes whose checks would build one matrix of more than
-    `MAX_DENSE_BITS` bits.  The rebuild of encryption builds (p·k·c)² bits,
-    and the ciphertext region is charged c³, as in the DSL."""
-    bits = max((p * k * c) ** 2, c**3)
+    `MAX_DENSE_BITS` bits (`instance_bits`)."""
+    bits = instance_bits(p, k, c)
     if bits > MAX_DENSE_BITS:
         raise ValueError(
             f"checking an instance of sizes {p}x{k}x{c} builds a matrix "

@@ -7,8 +7,11 @@ A relation is a dense boolean matrix, with one exception: a `product`
 whose dense form would have more than `_BOOL_MATMUL_MAX_WORK` cells keeps
 its Kronecker factors instead.  `compose` applies such a product to the
 relation before it one factor axis at a time, as a state-vector simulator
-applies a gate, and never builds the product.  Any other reader of its
-`bits` builds the dense form, once; retyped copies share it.
+applies a gate, whenever that takes fewer multiply-adds than the dense
+product would; it takes the columns of that relation in chunks, so that
+no intermediate state has more than `_CONTRACT_MAX_STATE` entries.  Any
+other reader of its `bits` builds the dense form, once; retyped copies
+share it.
 """
 
 from __future__ import annotations
@@ -266,6 +269,10 @@ def identity(s: SetLike) -> Rel:
 # boolean matmul, which runs a plain loop; below it the casts cost more.
 # A product with more cells than this keeps its Kronecker factors.
 _BOOL_MATMUL_MAX_WORK = 4096
+# A float32 product, through Kronecker factors or dense, takes the columns
+# of the state in chunks, so that each float32 state has at most this many
+# entries (16 MiB) unless one column alone has more.
+_CONTRACT_MAX_STATE = 1 << 22
 
 
 class _Kronecker:
@@ -340,18 +347,29 @@ def _contract(factors: Sequence[np.ndarray], bits: np.ndarray) -> np.ndarray:
     """``kron(factors) @ bits`` as booleans, one factor axis at a time.
 
     The rows of ``bits`` are the factors' source axes, left factor high,
-    and its columns a trailing axis of size m.  Each step multiplies the
-    leading axis by one factor with exact float32 BLAS, clips the counts
-    to 0/1, and rotates the new axis to the back; after the last factor
-    the axes are (m, targets...), so one transpose gives the result.
+    and its columns a trailing axis.  Each step multiplies the leading axis
+    by one factor with exact float32 BLAS, clips the counts to 0/1, and
+    rotates the new axis to the back; after the last factor the axes are
+    (columns, targets...), so one transpose gives the result.  The columns
+    are taken in chunks, so that no float32 state has more than
+    `_CONTRACT_MAX_STATE` entries unless one column alone does.
     """
     m = bits.shape[1]
-    x = bits.astype(np.float32)
+    floats = [f.astype(np.float32) for f in factors]
+    width = widest = bits.shape[0]
     for f in factors:
-        y = f.astype(np.float32) @ x.reshape(f.shape[1], -1)
-        np.minimum(y, 1, out=y)
-        x = np.ascontiguousarray(y.T)
-    out = x.reshape(m, -1).T > 0
+        width = width // f.shape[1] * f.shape[0]
+        widest = max(widest, width)
+    out = np.empty((width, m), dtype=bool)
+    step = max(1, _CONTRACT_MAX_STATE // widest)
+    for lo in range(0, m, step):
+        x = bits[:, lo : lo + step].astype(np.float32)
+        w = x.shape[1]
+        for f in floats:
+            y = f @ x.reshape(f.shape[1], -1)
+            np.minimum(y, 1, out=y)
+            x = np.ascontiguousarray(y.T)
+        out[:, lo : lo + w] = x.reshape(w, -1).T > 0
     out.setflags(write=False)
     return out
 
@@ -366,8 +384,11 @@ def compose(r: Rel, s: Rel) -> Rel:
     ``r`` has a single source element it is a reachable set, and the
     result is the OR of the columns of ``s`` that it selects.  When ``s``
     is a product not yet built and contracting ``r`` with its factors
-    costs less than building it, ``s`` is never built.  An ``r`` with an
-    empty source gives the empty result without reading ``s``.
+    takes fewer multiply-adds than the dense product, |s.src|·|s.dst|
+    for each of the |r.src| columns, ``s`` is never built.  Contractions
+    and large dense products take the columns of ``r`` in chunks
+    (`_contract`).  An ``r`` with an empty source gives the empty result
+    without reading ``s``.
     """
     if r.dst.size != s.src.size:
         raise ShapeError(
@@ -380,7 +401,7 @@ def compose(r: Rel, s: Rel) -> Rel:
         type(s) is _FactoredRel
         and s.kron.dense is None
         and _contraction_work(s.kron.factors, r.src.size)
-        < s.src.size * s.dst.size
+        < s.src.size * s.dst.size * r.src.size
     ):
         bits = _contract(s.kron.factors, r.bits)
     elif r.src.size == 1:
@@ -388,7 +409,7 @@ def compose(r: Rel, s: Rel) -> Rel:
     elif s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
         bits = s.bits @ r.bits
     else:
-        bits = (s.bits.astype(np.float32) @ r.bits.astype(np.float32)) > 0
+        bits = _contract((s.bits,), r.bits)
     bits.setflags(write=False)
     return Rel(r.src, s.dst, bits)
 

@@ -79,6 +79,17 @@ class TestHComposeOne:
                     )
                     assert out.fiber(uu, ss).size == expected
 
+    def test_fibers_are_made_when_first_read(self):
+        s, t = FiniteSet(1), FiniteSet(2)
+        a = OneCell(s, t, ((FiniteSet(1),), (FiniteSet(2),)))
+        b = OneCell(t, t, ((FiniteSet(3), FiniteSet(1)), (FiniteSet(0), FiniteSet(2))))
+        out = hcompose_one(a, b)
+        assert out.sizes.tolist() == [[5], [4]]
+        assert not out._fibers  # a composite is made from its sizes alone
+        first = out.fiber(1, 0)
+        assert out.fiber(1, 0) is first and list(out._fibers) == [(1, 0)]
+        assert first.size == len(out.paths(1, 0)) == 4
+
     def test_middle_mismatch(self):
         with pytest.raises(ShapeError):
             hcompose_one(scalar_one_cell(1), identity_one_cell(2))

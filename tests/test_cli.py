@@ -126,6 +126,13 @@ class TestCheck:
                 "268435457 dense bits (256.0 MiB)",
             ),
             (b"\xff\xfe\x00bad", "can't decode byte 0xff"),
+            # digits are ASCII: a superscript two or an Arabic-Indic three
+            # is not a number
+            ("set A = \u00b2\n", "1:9: unexpected character '\u00b2'"),
+            (
+                "set A = \u0663\ndef x = id(A)\ncheck x == x\n",
+                "1:9: unexpected character '\u0663'",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["check", "verify-otp"])
@@ -196,6 +203,30 @@ class TestVerifyOtp:
 
     def test_instance_file(self):
         assert main(["verify-otp", "--file", data("instance_twisted_pad.rcat")]) == 0
+
+    def test_group_thirty_runs_in_bounded_time_and_memory(self):
+        # the rebuild contracts its (p·k·c)^2 product, which is never built;
+        # a wrapper process reads the peak memory of its one child
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        wrapper = (
+            "import resource, subprocess, sys, time\n"
+            "start = time.perf_counter()\n"
+            "code = subprocess.call([sys.executable, '-m', 'relcat.cli', 'verify-otp',"
+            " '--group', '30'], stdout=subprocess.DEVNULL)\n"
+            "print(code, time.perf_counter() - start,"
+            " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", wrapper], env=env, capture_output=True, text=True
+        )
+        code, seconds, peak_kib = out.stdout.split()
+        assert int(code) == 0, out.stderr
+        assert float(seconds) < 5.0
+        assert int(peak_kib) < 400 * 1024
 
     @pytest.mark.parametrize(
         "pad, message",
@@ -583,14 +614,17 @@ class TestTheorems:
         (["enumerate", "--sizes", "200,200,1"], "space of about 2^81245 composite"),
         (["enumerate", "--sizes", "1000,1000,1000"], "about 2^2000008529"),
         (["theorems", "--sizes", "10,10,100"], "about 2^20022"),
-        (["verify-otp", "--group", "26"], "308915776 dense bits (294.6 MiB)"),
-        (["verify-otp", "--group", "40"], "4096000000 dense bits (3.8 GiB)"),
-        (["verify-dh", "--prime", "23"], "exceeds the cap of 19"),
         # one element above the limit of each term of the instance cost
+        # (`protocols.refuse_oversized`): the rebuild's p·k³·c, n^5 for a
+        # group, then (p·k)^2 here and (k·c)^2 and c^2 below
+        (["verify-otp", "--group", "49"], "282475249 dense bits (269.4 MiB)"),
+        (["theorems", "--sizes", "2,8193,1", "--samples", "2"],
+         "268500996 dense bits (256.1 MiB)"),
+        (["verify-dh", "--prime", "23"], "exceeds the cap of 19"),
         (["theorems", "--sizes", "1,129,129", "--samples", "2"],
          "276922881 dense bits (264.1 MiB)"),
-        (["theorems", "--sizes", "1,1,646", "--samples", "2"],
-         "269586136 dense bits (257.1 MiB)"),
+        (["theorems", "--sizes", "1,1,16385", "--samples", "2"],
+         "268468225 dense bits (256.0 MiB)"),
         (["theorems", "--sizes", "1,1,1", "--samples", "2000000000"],
          "2000000000 samples exceed the budget of 1073741824"),
     ],

@@ -11,6 +11,7 @@ from relcat.generators import (
     region_structure,
 )
 from relcat.protocols import (
+    _CHECKS,
     PreconditionError,
     ProtocolInstance,
     Verification,
@@ -22,6 +23,7 @@ from relcat.protocols import (
     derive_decryption_inverse,
     dh_instance,
     group_instance,
+    instance_bits,
     rebuild_encryption,
     secret_sharing_from_otp,
     security_implications,
@@ -502,3 +504,106 @@ class TestVerdictInvariants:
         good = check_correctness(single_bit_instance())
         bad = check_correctness(broken_decrypt_instance())
         assert good.witness is None and bad.witness is not None
+
+
+def function_scheme(p: int, k: int, c: int, seed: int) -> ProtocolInstance:
+    """A scheme whose ciphertext x decrypts by a random function of the
+    key, onto the messages when k >= p, and whose encryption sends (m, j)
+    to every x that decrypts key j to m.  It is correct when k >= p, and
+    its decryption is invertible when moreover p = k."""
+    rng = np.random.default_rng(seed)
+    ps, ks, cs = FiniteSet(p), FiniteSet(k), FiniteSet(c)
+    maps = []
+    for _ in range(c):
+        f = rng.integers(0, p, size=k)
+        if k >= p:
+            f[rng.permutation(k)[:p]] = np.arange(p)
+        maps.append(f.tolist())
+    encrypt = make(
+        relations.product_set(ps, ks),
+        cs,
+        [(f[j] * k + j, x) for x, f in enumerate(maps) for j in range(k)],
+    )
+    family = tuple(make(ks, ps, [(j, f[j]) for j in range(k)]) for f in maps)
+    return ProtocolInstance(
+        ps, ks, cs, encrypt, ControlledOp(cs, ks, ps, family), canonical_cup(ks)
+    )
+
+
+def random_scheme(p: int, k: int, c: int, seed: int) -> ProtocolInstance:
+    """Random encryption and decryption bits: almost always incorrect."""
+    rng = np.random.default_rng(seed)
+    ps, ks, cs = FiniteSet(p), FiniteSet(k), FiniteSet(c)
+    pairs = relations.product_set(ps, ks)
+    encrypt = relations.Rel(pairs, cs, rng.random((c, p * k)) < 0.5)
+    family = tuple(relations.Rel(ks, ps, rng.random((p, k)) < 0.5) for _ in range(c))
+    return ProtocolInstance(
+        ps, ks, cs, encrypt, ControlledOp(cs, ks, ps, family), canonical_cup(ks)
+    )
+
+
+# square and non-square sizes, with k < p, k = p and k > p, and sizes at
+# which each term of `instance_bits` is the largest
+CHARGE_SIZES = [
+    (1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3),
+    (3, 3, 1), (4, 4, 4), (3, 5, 7), (5, 3, 4), (6, 6, 6), (7, 7, 2),
+    (3, 3, 31), (2, 17, 13), (17, 2, 13), (40, 2, 3), (2, 40, 3),
+    (1, 1, 101), (11, 11, 3), (5, 5, 11), (2, 40, 1), (13, 17, 2),
+]
+
+
+class TestChargeTable:
+    @staticmethod
+    def largest_built(inst: ProtocolInstance, monkeypatch) -> tuple[int, dict]:
+        """The largest matrix built by every OTP and sharing check, dense
+        or from Kronecker factors, and the verdicts."""
+        built = []
+        init, materialise = relations.Rel.__init__, relations._materialise
+
+        def recording_init(self, src, dst, bits):
+            init(self, src, dst, bits)
+            built.append(self.bits.size)
+
+        def recording_materialise(factors):
+            out = materialise(factors)
+            built.append(out.size)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(relations.Rel, "__init__", recording_init)
+            patch.setattr(relations, "_materialise", recording_materialise)
+            region_structure.cache_clear()
+            record = Verification(inst)
+            verdicts = {name: record[name] for name in _CHECKS}
+        region_structure.cache_clear()
+        return max(built), verdicts
+
+    @pytest.mark.parametrize("sizes", CHARGE_SIZES, ids=str)
+    @pytest.mark.parametrize("scheme", [function_scheme, random_scheme])
+    def test_no_matrix_built_exceeds_the_charge(self, monkeypatch, sizes, scheme):
+        largest, verdicts = self.largest_built(scheme(*sizes, seed=1), monkeypatch)
+        assert largest <= instance_bits(*sizes)
+        p, k, _ = sizes
+        if scheme is function_scheme and k >= p:
+            # the correct schemes reach every check, the rebuild at p = k
+            assert verdicts["correctness"].holds
+            rebuilt = verdicts["encryption_rebuilt_from_inverse"]
+            assert rebuilt.holds == (p == k) and rebuilt.refused == (p != k)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(4, 4, 4), (7, 7, 2), (2, 40, 1), (2, 17, 13), (17, 2, 13)],
+        ids=["eager-product", "p*k^3*c", "(p*k)^2", "(k*c)^2", "(p*c)^2"],
+    )
+    def test_each_term_is_reached(self, monkeypatch, sizes):
+        # at each of these sizes one term of the charge alone is the largest
+        largest, _ = self.largest_built(function_scheme(*sizes, seed=1), monkeypatch)
+        assert largest == instance_bits(*sizes)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_group_charge_is_the_largest_matrix_built(self, monkeypatch, n):
+        # the rebuild's n^5 bits; the first group charged over 2^28 is 49
+        largest, verdicts = self.largest_built(group_instance(n), monkeypatch)
+        assert all(v.holds for v in verdicts.values())
+        assert largest == instance_bits(n, n, n) == n**5
+        assert instance_bits(48, 48, 48) <= 1 << 28 < instance_bits(49, 49, 49)
