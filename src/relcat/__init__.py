@@ -9,14 +9,12 @@ factors; there are no probabilities anywhere.
 
 from relcat.relations import (
     FiniteSet,
-    KernelResult,
     Permutation,
     Rel,
     RelProperties,
     ShapeError,
     compose,
     converse,
-    kernel,
     make,
     predicates,
     product,
@@ -42,7 +40,6 @@ from relcat.generators import (
     create,
     cup_from_permutation,
     delete,
-    frobenius_check,
     region_structure,
 )
 

@@ -45,7 +45,6 @@ __all__ = [
     "EqualityResult",
     "OneCell",
     "TwoCell",
-    "converse_two_cell",
     "equal",
     "hcompose_one",
     "hcompose_two",
@@ -508,16 +507,6 @@ def tensor_many(first: TwoCell, *rest: TwoCell) -> TwoCell:
     for cell in rest:
         out = tensor(out, cell)
     return out
-
-
-def converse_two_cell(a: TwoCell) -> TwoCell:
-    from relcat.relations import converse as converse_rel
-
-    components = tuple(
-        tuple(converse_rel(a.component(t, s)) for s in range(a.domain.src.size))
-        for t in range(a.domain.dst.size)
-    )
-    return TwoCell(a.codomain, a.domain, components)
 
 
 @dataclass(frozen=True)

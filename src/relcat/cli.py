@@ -97,12 +97,9 @@ def _instance_from_file(path: str) -> protocols.ProtocolInstance:
     ciphertexts = decrypt.public_carrier
     encrypt = dsl.evaluate_name(env, "encrypt").scalar()
 
-    pad_binding = env.cells["pad"]
-    if pad_binding.duality is not None:
-        pad = pad_binding.duality
-    else:
-        rel = dsl.evaluate_name(env, "pad").scalar()
-        pad = cup_from_permutation(pad_permutation(keys, rel))
+    pad = cup_from_permutation(
+        pad_permutation(keys, dsl.evaluate_name(env, "pad").scalar())
+    )
     return protocols.ProtocolInstance(
         plaintexts, keys, ciphertexts, encrypt, decrypt, pad
     )

@@ -51,7 +51,6 @@ from relcat.cells import (
 )
 from relcat.generators import (
     ControlledOp,
-    DualityPair,
     canonical_cup,
     cap_cell,
     controlled_scalar,
@@ -552,10 +551,25 @@ MAX_DENSE_BITS = 1 << 28
 
 
 def dense_size(bits: int) -> str:
-    """A bit count with its size in memory, at one byte per bit."""
+    """A bit count with its size in memory, at one byte per bit.
+
+    Integer arithmetic only, so that no count overflows a float.  From
+    1024 PiB (2^60 bits) on, the count is given as the nearest power of
+    two, as `search.BudgetExceeded` gives a candidate space too long to
+    print.
+    """
+    if bits >> 60:
+        n = bits.bit_length() - 1
+        if bits * bits >> (2 * n + 1):  # log2(bits) >= n + 1/2
+            n += 1
+        return f"about 2^{n} dense bits"
     scale = min(5, (bits.bit_length() - 1) // 10)
     unit = "B KiB MiB GiB TiB PiB".split()[scale]
-    return f"{bits} dense bits ({bits / 1024**scale:.1f} {unit})"
+    # tenths of a unit, rounded half to even as format(x, ".1f") does
+    tenths, rest = divmod(10 * bits, 1 << 10 * scale)
+    if 2 * rest + (tenths & 1) > 1 << 10 * scale:
+        tenths += 1
+    return f"{bits} dense bits ({tenths // 10}.{tenths % 10} {unit})"
 
 
 def _refuse_dense(bits: int, line: int, col: int) -> None:
@@ -604,7 +618,6 @@ class CellBinding:
     typed: TypedTerm
     cell: Optional[TwoCell] = None  # for generators and builtins
     controlled: Optional[ControlledOp] = None
-    duality: Optional[DualityPair] = None
 
 
 @dataclass
@@ -738,15 +751,12 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
         call.line,
         call.col,
     )
-    duality = None
     if op == "id":
         cell = identity_two_cell(_type_one_cell(env, arg))
     elif op == "cup":
-        duality = canonical_cup(fiber)
-        cell = cup_cell(duality)
+        cell = cup_cell(canonical_cup(fiber))
     elif op == "cap":
-        duality = canonical_cup(fiber)
-        cell = cap_cell(duality)
+        cell = cap_cell(canonical_cup(fiber))
     elif op == "delete":
         cell = delete_cell(fiber)
     elif op == "create":
@@ -762,7 +772,7 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
             "sample": lambda: rs.sample,
         }[op]()
     typed = TypedTerm(call, cell.domain, cell.codomain, cell=cell)
-    return CellBinding(name, typed, cell, duality=duality)
+    return CellBinding(name, typed, cell)
 
 
 def _describe(cell: OneCell) -> str:
@@ -821,7 +831,12 @@ def elaborate(sf: SourceFile) -> Env:
     for stmt in sf.statements:
         if isinstance(stmt, SetDecl):
             _declare(env, stmt.name, stmt)
-            env.sets[stmt.name] = FiniteSet(stmt.size, stmt.labels)
+            try:
+                env.sets[stmt.name] = FiniteSet(stmt.size, stmt.labels)
+            except ValueError as exc:  # labels repeated
+                raise ElaborationError(
+                    f"set {stmt.name!r}: {exc}", stmt.line, stmt.col
+                ) from None
         elif isinstance(stmt, GenDecl):
             _declare(env, stmt.name, stmt)
             rel = _build_rel(env, stmt.dom, stmt.cod, stmt.data, stmt)

@@ -1,4 +1,4 @@
-"""Named generating cells and their axiom checkers.
+"""Named generating cells.
 
 Private wires get duality units ("cups", nondeterministic creation of a
 matched pair of values) and counits ("caps", verification that two values
@@ -17,20 +17,15 @@ from typing import Optional
 import numpy as np
 
 from relcat.cells import (
-    CellDifference,
-    EqualityResult,
     OneCell,
     TwoCell,
-    equal,
     hcompose_one,
     hcompose_two,
     identity_one_cell,
     identity_two_cell,
     scalar_one_cell,
     scalar_two_cell,
-    tensor,
     tensor_one,
-    vcompose,
 )
 from relcat.relations import (
     FiniteSet,
@@ -50,7 +45,6 @@ from relcat.relations import (
 __all__ = [
     "ControlledOp",
     "DualityPair",
-    "FrobeniusReport",
     "RegionStructure",
     "canonical_cup",
     "cap_cell",
@@ -66,7 +60,6 @@ __all__ = [
     "cup_from_permutation",
     "delete",
     "delete_cell",
-    "frobenius_check",
     "pad_permutation",
     "region_structure",
     "scalar_compare",
@@ -321,107 +314,6 @@ def scalar_copy(rs: RegionStructure) -> TwoCell:
 def scalar_compare(rs: RegionStructure) -> TwoCell:
     first = hcompose_two(identity_two_cell(rs.boundary_left), rs.compare)
     return hcompose_two(first, identity_two_cell(rs.boundary_right))
-
-
-@dataclass(frozen=True)
-class AxiomResult:
-    holds: bool
-    difference: Optional[CellDifference] = None
-
-
-@dataclass(frozen=True)
-class FrobeniusReport:
-    axioms: dict[str, AxiomResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(a.holds for a in self.axioms.values())
-
-    def failures(self) -> list[str]:
-        return [name for name, a in self.axioms.items() if not a.holds]
-
-
-def frobenius_check(rs: RegionStructure) -> FrobeniusReport:
-    """Evaluate the topological axioms of a region structure.
-
-    Checks the four boundary zig-zags (copy-then-delete and
-    compare-after-create, on each boundary), both symmetry laws, bubble
-    elimination, associativity of copy and compare, and the two-sided
-    interchange law.  Failures are reported per axiom, never raised.
-    """
-    bl, br = rs.boundary_left, rs.boundary_right
-    id_bl, id_br = identity_two_cell(bl), identity_two_cell(br)
-    axioms: dict[str, AxiomResult] = {}
-
-    def record(name: str, lhs: TwoCell, rhs: TwoCell) -> None:
-        res = equal(lhs, rhs)
-        axioms[name] = AxiomResult(res.equal, res.difference)
-
-    # copy-then-delete zig-zags
-    record(
-        "copy_delete_left",
-        vcompose(
-            hcompose_two(id_bl, rs.copy),
-            hcompose_two(rs.delete_region, id_bl),
-        ),
-        id_bl,
-    )
-    record(
-        "copy_delete_right",
-        vcompose(
-            hcompose_two(rs.copy, id_br),
-            hcompose_two(id_br, rs.delete_region),
-        ),
-        id_br,
-    )
-    # compare-after-create zig-zags
-    record(
-        "compare_create_left",
-        vcompose(
-            hcompose_two(rs.create_region, id_bl),
-            hcompose_two(id_bl, rs.compare),
-        ),
-        id_bl,
-    )
-    record(
-        "compare_create_right",
-        vcompose(
-            hcompose_two(id_br, rs.create_region),
-            hcompose_two(rs.compare, id_br),
-        ),
-        id_br,
-    )
-
-    merge_ = scalar_compare(rs)
-    split = scalar_copy(rs)
-    tw = swap_cell(rs.carrier, rs.carrier)
-    record("compare_symmetric", vcompose(tw, merge_), merge_)
-    record("copy_symmetric", vcompose(split, tw), split)
-    record("bubble", vcompose(split, merge_), identity_two_cell(scalar_one_cell(rs.carrier)))
-
-    wire = identity_two_cell(scalar_one_cell(rs.carrier))
-    record(
-        "compare_associative",
-        vcompose(tensor(merge_, wire), merge_),
-        vcompose(tensor(wire, merge_), merge_),
-    )
-    record(
-        "copy_associative",
-        vcompose(split, tensor(split, wire)),
-        vcompose(split, tensor(wire, split)),
-    )
-    middle = vcompose(merge_, split)
-    record(
-        "interchange_left",
-        vcompose(tensor(split, wire), tensor(wire, merge_)),
-        middle,
-    )
-    record(
-        "interchange_right",
-        vcompose(tensor(wire, split), tensor(merge_, wire)),
-        middle,
-    )
-    return FrobeniusReport(axioms)
 
 
 # ---------------------------------------------------------------------------

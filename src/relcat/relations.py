@@ -24,22 +24,17 @@ import numpy as np
 
 __all__ = [
     "FiniteSet",
-    "KernelResult",
     "Permutation",
     "Rel",
     "RelProperties",
     "ShapeError",
-    "all_relations",
     "as_finite_set",
     "compose",
     "converse",
-    "diagonal",
     "empty",
     "full",
     "identity",
-    "kernel",
     "make",
-    "merge",
     "predicates",
     "product",
     "product_set",
@@ -450,45 +445,6 @@ def _factors(r: Rel) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True)
-class KernelResult:
-    """The part of a relation's source on which it halts.
-
-    ``inclusion`` is the graph of the injection of the carrier back into the
-    source set, in increasing index order.
-    """
-
-    carrier: FiniteSet
-    inclusion: Rel
-
-
-def kernel(r: Rel) -> KernelResult:
-    halted = [a for a in range(r.src.size) if not r.bits[:, a].any()]
-    labels = (
-        tuple(r.src.label(a) for a in halted)
-        if r.src.labels is not None
-        else None
-    )
-    carrier = FiniteSet(len(halted), labels)
-    bits = np.zeros((r.src.size, carrier.size), dtype=bool)
-    for k, a in enumerate(halted):
-        bits[a, k] = True
-    return KernelResult(carrier, Rel(carrier, r.src, bits))
-
-
-def factor_through_kernel(sigma: Rel, k: KernelResult) -> Rel:
-    """The unique relation with ``compose(result, inclusion) == sigma``.
-
-    Only meaningful when ``sigma`` lands inside the kernel carrier, i.e. when
-    the analyzed relation composed with ``sigma`` is empty.
-    """
-    # inclusion.bits is (src x carrier); selecting its columns restricts
-    # sigma to the kernel elements.
-    members = [int(np.argmax(k.inclusion.bits[:, j])) for j in range(k.carrier.size)]
-    bits = sigma.bits[members, :] if members else np.zeros((0, sigma.src.size), bool)
-    return Rel(sigma.src, k.carrier, bits)
-
-
-@dataclass(frozen=True)
 class RelProperties:
     is_function: bool
     is_total: bool
@@ -511,17 +467,6 @@ def predicates(r: Rel) -> RelProperties:
         is_surjective,
         is_function and is_total and is_injective and is_surjective,
     )
-
-
-def diagonal(s: SetLike) -> Rel:
-    """The duplication relation ``x -> (x, x)``."""
-    s = as_finite_set(s)
-    return make(s, product_set(s, s), [(x, x * s.size + x) for x in s])
-
-
-def merge(s: SetLike) -> Rel:
-    """The matching relation ``(x, x) -> x``; halts on mismatched pairs."""
-    return converse(diagonal(s))
 
 
 def swap(a: SetLike, b: SetLike) -> Rel:
@@ -549,12 +494,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.mapping[i]
 
-    def inverse(self) -> Permutation:
-        inv = [0] * self.carrier.size
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(self.carrier, tuple(inv))
-
     @staticmethod
     def identity(s: SetLike) -> Permutation:
         s = as_finite_set(s)
@@ -566,17 +505,6 @@ class Permutation:
         s = as_finite_set(s)
         for mapping in itertools.permutations(range(s.size)):
             yield Permutation(s, mapping)
-
-
-def all_relations(src: SetLike, dst: SetLike) -> Iterator[Rel]:
-    """Every relation ``src -> dst``, in increasing bit-pattern order.
-
-    Bit order is row-major over the (dst x src) matrix, with the first matrix
-    entry as the most significant bit.
-    """
-    src, dst = as_finite_set(src), as_finite_set(dst)
-    for code in range(1 << (src.size * dst.size)):
-        yield relation_from_code(src, dst, code)
 
 
 def relation_from_code(src: SetLike, dst: SetLike, code: int) -> Rel:

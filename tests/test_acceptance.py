@@ -17,6 +17,12 @@ import pytest
 
 import oracle_naive
 import oracle_snake
+from oracle_laws import (
+    all_relations,
+    factor_through_kernel,
+    frobenius_check,
+    kernel,
+)
 from relcat.cells import equal, hcompose_two, vcompose
 from relcat.dsl import format_source, parse, run_source
 from relcat.generators import (
@@ -25,7 +31,6 @@ from relcat.generators import (
     classify_cups,
     cup_from_permutation,
     delete,
-    frobenius_check,
     region_structure,
     snake_equations_hold,
 )
@@ -46,12 +51,9 @@ from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
-    all_relations,
     compose,
     converse,
-    factor_through_kernel,
     identity,
-    kernel,
     make,
     predicates,
     relation_code,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracle_laws import converse_two_cell
 from relcat.cells import (
     OneCell,
     TwoCell,
-    converse_two_cell,
     equal,
     hcompose_one,
     hcompose_two,

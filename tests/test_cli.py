@@ -133,6 +133,14 @@ class TestCheck:
                 "set A = \u0663\ndef x = id(A)\ncheck x == x\n",
                 "1:9: unexpected character '\u0663'",
             ),
+            (
+                "set A = {a, b, a}\ndef x = id(A)\ncheck x == x\n",
+                "1:1: set 'A': labels must be pairwise distinct",
+            ),
+            (
+                f"set A = 1{'0' * 170}\ndef x = id(A)\ncheck x == x\n",
+                "2:9: cell of about 2^1129 dense bits exceeds",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["check", "verify-otp"])
@@ -238,6 +246,8 @@ class TestVerifyOtp:
             ("gen pad : 1 -> K * K = {()->(0,0)}", "'pad' is not total"),
             ("gen pad : 1 -> K = {()->0, ()->1}",
              "'pad' must go from 1 to keys * keys"),
+            # a cap goes from keys * keys to 1, so it is no pad
+            ("builtin pad = cap(K)", "'pad' must go from 1 to keys * keys"),
         ],
     )
     def test_pad_is_not_a_permutation_exit_two(self, capsys, tmp_path, pad, message):
@@ -627,6 +637,10 @@ class TestTheorems:
          "268468225 dense bits (256.0 MiB)"),
         (["theorems", "--sizes", "1,1,1", "--samples", "2000000000"],
          "2000000000 samples exceed the budget of 1073741824"),
+        # past 1024 PiB a matrix is sized by its nearest power of two
+        (["verify-otp", "--group", f"1{'0' * 70}"], "of about 2^1163 dense bits,"),
+        (["theorems", "--sizes", f"1,1{'0' * 160},1", "--samples", "1"],
+         "of about 2^1063 dense bits,"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):

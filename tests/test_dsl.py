@@ -130,6 +130,21 @@ class TestElaborator:
                 )
             )
 
+    def test_duplicate_label_is_located_at_its_set(self):
+        with pytest.raises(ElaborationError) as err:
+            elaborate(parse("set K = 2\n  set G = {e, g, e}\n"))
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert "set 'G': labels must be pairwise distinct" in str(err.value)
+
+    def test_dense_size_uses_integers_only(self):
+        assert dsl.dense_size(1280) == "1280 dense bits (1.2 KiB)"  # half to even
+        assert dsl.dense_size(1331) == "1331 dense bits (1.3 KiB)"
+        below = 2**60 - 1
+        assert dsl.dense_size(below) == f"{below} dense bits (1024.0 PiB)"
+        assert dsl.dense_size(2**60) == "about 2^60 dense bits"
+        assert dsl.dense_size(3 * 2**60) == "about 2^62 dense bits"  # 2^61.58
+        assert dsl.dense_size(10**350) == "about 2^1163 dense bits"
+
 
 class TestEvaluation:
     def test_identity(self):

@@ -6,6 +6,13 @@ import pytest
 
 import oracle_controlled
 import oracle_snake
+from oracle_laws import (
+    all_relations,
+    diagonal,
+    frobenius_check,
+    kernel,
+    merge,
+)
 from relcat import generators, relations
 from relcat.cells import (
     TwoCell,
@@ -28,7 +35,6 @@ from relcat.generators import (
     create,
     cup_from_permutation,
     delete,
-    frobenius_check,
     region_structure,
     scalar_compare,
     scalar_copy,
@@ -39,16 +45,12 @@ from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
-    all_relations,
     compose,
     converse,
-    diagonal,
     empty,
     full,
     identity,
-    kernel,
     make,
-    merge,
     product,
     product_set,
     relation_code,

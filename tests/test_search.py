@@ -5,6 +5,7 @@ import pytest
 
 import oracle_naive
 import oracle_snake
+from oracle_laws import all_relations
 from relcat.generators import cup_from_permutation
 from relcat.protocols import (
     check_correctness,
@@ -15,7 +16,6 @@ from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
-    all_relations,
     product_set,
     relation_code,
 )
