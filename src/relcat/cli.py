@@ -27,12 +27,24 @@ DEFAULT_DH_CAP = 19
 THREADS_HELP = "accepted for compatibility; the search runs in one process"
 
 
+def _integer(text: str) -> int:
+    """An integer in ASCII digits with an optional leading minus; `int`
+    alone also reads other scripts' digits, underscores and spaces."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer value: {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "integer"  # argparse names the type in its message
+
+
 def _budget() -> int:
     raw = os.environ.get("RELCAT_BUDGET")
     if not raw:
         return search.DEFAULT_BUDGET
     try:
-        return int(raw)
+        return _integer(raw)
     except ValueError:
         raise ValueError(f"RELCAT_BUDGET must be an integer, got {raw!r}") from None
 
@@ -90,7 +102,7 @@ def _instance_from_file(path: str) -> protocols.ProtocolInstance:
             f"instance file must declare cells named 'encrypt', 'decrypt' "
             f"and 'pad'; missing {missing}"
         )
-    decrypt = env.cells["decrypt"].controlled
+    decrypt = env.controlled.get("decrypt")
     if decrypt is None:
         raise ValueError("'decrypt' must be a controlled builtin")
     keys, plaintexts = decrypt.in_private, decrypt.out_private
@@ -209,7 +221,7 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--sizes expects three comma-separated integers")
-    p, k, c = (int(x) for x in parts)
+    p, k, c = (_integer(x) for x in parts)
     return p, k, c
 
 
@@ -333,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-otp", help="verify an encryption scheme end to end"
     )
     group = p_otp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--group", type=int, help="modular scheme of this order")
+    group.add_argument("--group", type=_integer, help="modular scheme of this order")
     group.add_argument("--file", help="source file declaring encrypt/decrypt/pad")
     add_format(p_otp)
     p_otp.set_defaults(func=cmd_verify_otp)
 
     p_dh = sub.add_parser("verify-dh", help="verify key exchange at a prime order")
-    p_dh.add_argument("--prime", type=int, required=True)
+    p_dh.add_argument("--prime", type=_integer, required=True)
     p_dh.add_argument("--include-identity", action="store_true")
     p_dh.add_argument(
         "--no-erase",
@@ -348,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dh.add_argument(
         "--max-prime",
-        type=int,
+        type=_integer,
         default=DEFAULT_DH_CAP,
         help="refuse larger primes (default %(default)s; the check at 19 "
         "takes about a second)",
@@ -379,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--sizes", required=True, metavar="P,K,C")
     p_thm.add_argument(
         "--samples",
-        type=int,
+        type=_integer,
         default=0,
         help="sample this many candidates instead of exhausting the space",
     )
-    p_thm.add_argument("--seed", type=int, default=0)
+    p_thm.add_argument("--seed", type=_integer, default=0)
     p_thm.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     add_format(p_thm)
     p_thm.set_defaults(func=cmd_theorems)

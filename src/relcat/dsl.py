@@ -28,13 +28,17 @@ and ``*`` is the tensor with the left operand as the high digit.  Builtins:
 create_region, publish, sample`` take a type argument;
 ``controlled(S, A -> B, {v: reldata, ...})`` takes one relation block per
 public value.
+
+`elaborate` builds each cell once, at its statement: `evaluate` types a
+composite from its operands' cells and refuses it by its dense size before
+building it.  A check compares two built cells by name.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Optional, Union
 
 from relcat.cells import (
     OneCell,
@@ -601,29 +605,10 @@ _REGION_BITS_EXPONENT = 3
 
 
 @dataclass
-class TypedTerm:
-    """A term annotated with its boundary one-cells.  A builtin call keeps
-    the cell built while typing it, so evaluation does not build it again."""
-
-    node: Term
-    domain: OneCell
-    codomain: OneCell
-    children: tuple["TypedTerm", ...] = ()
-    cell: Optional[TwoCell] = None
-
-
-@dataclass
-class CellBinding:
-    name: str
-    typed: TypedTerm
-    cell: Optional[TwoCell] = None  # for generators and builtins
-    controlled: Optional[ControlledOp] = None
-
-
-@dataclass
 class Env:
     sets: dict[str, FiniteSet] = field(default_factory=dict)
-    cells: dict[str, CellBinding] = field(default_factory=dict)
+    cells: dict[str, TwoCell] = field(default_factory=dict)
+    controlled: dict[str, ControlledOp] = field(default_factory=dict)
     checks: list[CheckDecl] = field(default_factory=list)
 
 
@@ -709,7 +694,11 @@ def _build_rel(
     return make(src, dst, pairs)
 
 
-def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
+def _builtin_binding(
+    env: Env, call: BuiltinCall
+) -> tuple[TwoCell, Optional[ControlledOp]]:
+    """The cell of a builtin call, with its relation blocks if it is a
+    controlled cell."""
     op = call.op
     if op == "controlled":
         public_t, dom_t, cod_t = call.type_args
@@ -741,9 +730,7 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
         op_data = ControlledOp(
             public, in_set, out_set, tuple(by_value[v] for v in range(public.size))
         )
-        cell = controlled_scalar(op_data)
-        typed = TypedTerm(call, cell.domain, cell.codomain, cell=cell)
-        return CellBinding(name, typed, cell, controlled=op_data)
+        return controlled_scalar(op_data), op_data
     arg = call.type_args[0]
     fiber = _type_fiber(env, arg)
     _refuse_dense(
@@ -771,8 +758,7 @@ def _builtin_binding(env: Env, call: BuiltinCall, name: str) -> CellBinding:
             "publish": lambda: rs.publish,
             "sample": lambda: rs.sample,
         }[op]()
-    typed = TypedTerm(call, cell.domain, cell.codomain, cell=cell)
-    return CellBinding(name, typed, cell)
+    return cell, None
 
 
 def _describe(cell: OneCell) -> str:
@@ -782,20 +768,18 @@ def _describe(cell: OneCell) -> str:
     return f"{fiber.size}-element set"
 
 
-def _type_term(env: Env, term: Term) -> TypedTerm:
+def evaluate(env: Env, term: Term) -> TwoCell:
+    """The cell a term denotes, by one structural recursion."""
     if isinstance(term, NameTerm):
         if term.name not in env.cells:
             raise ElaborationError(
                 f"unknown cell {term.name!r}", term.line, term.col
             )
-        binding = env.cells[term.name]
-        return TypedTerm(term, binding.typed.domain, binding.typed.codomain)
+        return env.cells[term.name]
     if isinstance(term, BuiltinCall):
-        binding = _builtin_binding(env, term, f"<builtin {term.op}>")
-        return binding.typed
+        return _builtin_binding(env, term)[0]
     if isinstance(term, SeqTerm):
-        first = _type_term(env, term.first)
-        second = _type_term(env, term.second)
+        first, second = evaluate(env, term.first), evaluate(env, term.second)
         if first.codomain.fiber_sizes() != second.domain.fiber_sizes():
             raise ElaborationError(
                 f"cannot compose in sequence: first stage produces a "
@@ -803,20 +787,22 @@ def _type_term(env: Env, term: Term) -> TypedTerm:
                 f"{_describe(second.domain)}",
                 *_term_pos(term.second),
             )
-        children = (first, second)
-        dom, cod = first.domain, second.codomain
+        dom, cod, compose = first.domain, second.codomain, vcompose
     elif isinstance(term, HorizTerm):
-        children = (_type_term(env, term.left), _type_term(env, term.right))
-        dom = hcompose_one(children[1].domain, children[0].domain)
-        cod = hcompose_one(children[1].codomain, children[0].codomain)
+        # the right operand is applied first
+        second, first = evaluate(env, term.left), evaluate(env, term.right)
+        dom = hcompose_one(first.domain, second.domain)
+        cod = hcompose_one(first.codomain, second.codomain)
+        compose = hcompose_two
     elif isinstance(term, ParTerm):
-        children = (_type_term(env, term.left), _type_term(env, term.right))
-        dom = tensor_one(children[0].domain, children[1].domain)
-        cod = tensor_one(children[0].codomain, children[1].codomain)
+        first, second = evaluate(env, term.left), evaluate(env, term.right)
+        dom = tensor_one(first.domain, second.domain)
+        cod = tensor_one(first.codomain, second.codomain)
+        compose = tensor
     else:
         raise AssertionError(term)
     _refuse_dense(_dense_bits(dom, cod), *_term_pos(term))
-    return TypedTerm(term, dom, cod, children)
+    return compose(first, second)
 
 
 def _term_pos(term: Term) -> tuple[int, int]:
@@ -826,7 +812,7 @@ def _term_pos(term: Term) -> tuple[int, int]:
 
 
 def elaborate(sf: SourceFile) -> Env:
-    """Check declarations in order and annotate every term with its types."""
+    """Check declarations in order, building each cell at its statement."""
     env = Env()
     for stmt in sf.statements:
         if isinstance(stmt, SetDecl):
@@ -840,29 +826,25 @@ def elaborate(sf: SourceFile) -> Env:
         elif isinstance(stmt, GenDecl):
             _declare(env, stmt.name, stmt)
             rel = _build_rel(env, stmt.dom, stmt.cod, stmt.data, stmt)
-            cell = TwoCell(
+            env.cells[stmt.name] = TwoCell(
                 _type_one_cell(env, stmt.dom),
                 _type_one_cell(env, stmt.cod),
                 ((rel,),),
             )
-            typed = TypedTerm(
-                NameTerm(stmt.name, stmt.line, stmt.col),
-                cell.domain,
-                cell.codomain,
-            )
-            env.cells[stmt.name] = CellBinding(stmt.name, typed, cell)
         elif isinstance(stmt, BuiltinDecl):
             _declare(env, stmt.name, stmt)
-            env.cells[stmt.name] = _builtin_binding(env, stmt.call, stmt.name)
+            cell, op = _builtin_binding(env, stmt.call)
+            env.cells[stmt.name] = cell
+            if op is not None:
+                env.controlled[stmt.name] = op
         elif isinstance(stmt, DefDecl):
             _declare(env, stmt.name, stmt)
             try:
-                typed = _type_term(env, stmt.term)
+                env.cells[stmt.name] = evaluate(env, stmt.term)
             except RecursionError:
                 raise ElaborationError(
                     "term nested too deeply", stmt.line, stmt.col
                 ) from None
-            env.cells[stmt.name] = CellBinding(stmt.name, typed)
         elif isinstance(stmt, CheckDecl):
             for name in (stmt.lhs, stmt.rhs):
                 if name not in env.cells:
@@ -884,36 +866,8 @@ def _declare(env: Env, name: str, stmt) -> None:
         )
 
 
-def evaluate(env: Env, typed: TypedTerm) -> TwoCell:
-    """Denotation by structural recursion; deterministic."""
-    node = typed.node
-    if isinstance(node, NameTerm) and node.name in env.cells:
-        binding = env.cells[node.name]
-        if binding.cell is not None:
-            return binding.cell
-        cell = evaluate(env, binding.typed)
-        binding.cell = cell
-        return cell
-    if isinstance(node, BuiltinCall):
-        return typed.cell
-    first, second = typed.children
-    if isinstance(node, SeqTerm):
-        return vcompose(evaluate(env, first), evaluate(env, second))
-    if isinstance(node, HorizTerm):
-        return hcompose_two(evaluate(env, second), evaluate(env, first))
-    if isinstance(node, ParTerm):
-        return tensor(evaluate(env, first), evaluate(env, second))
-    raise AssertionError(node)
-
-
 def evaluate_name(env: Env, name: str) -> TwoCell:
-    binding = env.cells[name]
-    if binding.cell is None:
-        try:
-            binding.cell = evaluate(env, binding.typed)
-        except RecursionError:
-            raise ElaborationError(f"cell {name!r} is nested too deeply") from None
-    return binding.cell
+    return env.cells[name]
 
 
 # ---------------------------------------------------------------------------
@@ -934,21 +888,20 @@ class CheckReport:
 
 def check_equation(env: Env, lhs: str, rhs: str) -> CheckReport:
     name = f"{lhs} == {rhs}"
-    left, right = env.cells[lhs], env.cells[rhs]
+    left, right = evaluate_name(env, lhs), evaluate_name(env, rhs)
     if (
-        left.typed.domain.fiber_sizes() != right.typed.domain.fiber_sizes()
-        or left.typed.codomain.fiber_sizes()
-        != right.typed.codomain.fiber_sizes()
+        left.domain.fiber_sizes() != right.domain.fiber_sizes()
+        or left.codomain.fiber_sizes() != right.codomain.fiber_sizes()
     ):
         return CheckReport(
             name,
             "type-error",
             f"sides have different boundaries: {lhs} is "
-            f"{_describe(left.typed.domain)} -> {_describe(left.typed.codomain)}, "
-            f"{rhs} is {_describe(right.typed.domain)} -> "
-            f"{_describe(right.typed.codomain)}",
+            f"{_describe(left.domain)} -> {_describe(left.codomain)}, "
+            f"{rhs} is {_describe(right.domain)} -> "
+            f"{_describe(right.codomain)}",
         )
-    res = equal(evaluate_name(env, lhs), evaluate_name(env, rhs))
+    res = equal(left, right)
     if res.equal:
         return CheckReport(name, "equal")
     return CheckReport(name, "unequal", res.difference.describe())

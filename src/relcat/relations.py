@@ -16,7 +16,6 @@ share it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -204,12 +203,6 @@ class Rel:
         out = [(int(a), int(b)) for b, a in np.argwhere(self.bits)]
         out.sort()
         return out
-
-    def holds(self, a: int, b: int) -> bool:
-        return bool(self.bits[b, a])
-
-    def is_empty(self) -> bool:
-        return not self.bits.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rel):
@@ -498,13 +491,6 @@ class Permutation:
     def identity(s: SetLike) -> Permutation:
         s = as_finite_set(s)
         return Permutation(s, tuple(range(s.size)))
-
-    @staticmethod
-    def all(s: SetLike) -> Iterator["Permutation"]:
-        """All permutations of the carrier, in lexicographic order."""
-        s = as_finite_set(s)
-        for mapping in itertools.permutations(range(s.size)):
-            yield Permutation(s, mapping)
 
 
 def relation_from_code(src: SetLike, dst: SetLike, code: int) -> Rel:

@@ -4,13 +4,15 @@ The commands never prove these laws at run time: constructors build their
 cells, and the tests assert what the cells satisfy.  This module holds the
 machinery for that: the Frobenius axioms of a region structure, kernels of
 relations with their universal property, the duplication and matching
-relations, every relation between two sets, and the converse of a
-two-cell.  Unlike the other oracles it is written on top of the library,
-since each check here is a composite of library operations.
+relations, every relation between two sets, every permutation of a set,
+two predicates on a relation, and the converse of a two-cell.  Unlike
+the other oracles it is written on top of the library, since each check
+here is a composite of library operations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -34,6 +36,7 @@ from relcat.generators import (
 )
 from relcat.relations import (
     FiniteSet,
+    Permutation,
     Rel,
     SetLike,
     as_finite_set,
@@ -218,6 +221,22 @@ def all_relations(src: SetLike, dst: SetLike) -> Iterator[Rel]:
     src, dst = as_finite_set(src), as_finite_set(dst)
     for code in range(1 << (src.size * dst.size)):
         yield relation_from_code(src, dst, code)
+
+
+def all_permutations(s: SetLike) -> Iterator[Permutation]:
+    """All permutations of the carrier, in lexicographic order."""
+    s = as_finite_set(s)
+    for mapping in itertools.permutations(range(s.size)):
+        yield Permutation(s, mapping)
+
+
+def holds(r: Rel, a: int, b: int) -> bool:
+    """Whether r relates a to b."""
+    return bool(r.bits[b, a])
+
+
+def is_empty(r: Rel) -> bool:
+    return not r.bits.any()
 
 
 # ---------------------------------------------------------------------------

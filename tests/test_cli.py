@@ -656,6 +656,34 @@ def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):
     assert message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["enumerate", "--sizes", "٣,1,1"], None),  # an Arabic-Indic 3
+        (["theorems", "--sizes", "1_0,1,1"], None),
+        (["verify-otp", "--group", "٣"], None),
+        (["verify-dh", "--prime", "٣"], None),
+        (["verify-dh", "--prime", "3", "--max-prime", "1_9"], None),
+        (["theorems", "--sizes", "2,2,2", "--samples", " 5"], None),
+        (["theorems", "--sizes", "2,2,2", "--samples", "5", "--seed", "+1"], None),
+        (["enumerate", "--sizes", "1,1,1"], "1_0"),
+    ],
+)
+def test_integers_are_ascii_digits(capsys, monkeypatch, argv, budget):
+    if budget is None:
+        monkeypatch.delenv("RELCAT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RELCAT_BUDGET", budget)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an option's value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "integer" in errors[0]
+
+
 class TestConsoleScript:
     @staticmethod
     def _start(argv):

@@ -1,6 +1,5 @@
 import glob
 import os
-import random
 
 import pytest
 
@@ -12,7 +11,6 @@ from relcat.dsl import (
     ParseError,
     check_equation,
     elaborate,
-    evaluate,
     evaluate_name,
     format_source,
     parse,
@@ -90,13 +88,13 @@ class TestParser:
 class TestElaborator:
     def test_cup_codomain_is_square(self):
         env = elaborate(parse("set K = 2\ndef x = cup(K)\n"))
-        assert env.cells["x"].typed.codomain.fiber(0, 0).size == 4
+        assert env.cells["x"].codomain.fiber(0, 0).size == 4
 
     def test_cup_then_cap_is_scalar_endoterm(self):
         env = elaborate(parse("set K = 2\ndef x = cup(K) ; cap(K)\n"))
-        typed = env.cells["x"].typed
-        assert typed.domain.fiber(0, 0).size == 1
-        assert typed.codomain.fiber(0, 0).size == 1
+        cell = env.cells["x"]
+        assert cell.domain.fiber(0, 0).size == 1
+        assert cell.codomain.fiber(0, 0).size == 1
 
     def test_composability_error_prints_both_types(self):
         with pytest.raises(ElaborationError) as err:
@@ -174,6 +172,16 @@ class TestEvaluation:
         )
         assert report.error is None and report.exit_code == 0
 
+    def test_each_def_in_a_long_chain_is_read_by_name(self):
+        # each def is built at its statement, so naming the one before it
+        # does not nest: the depth of a chain of defs is not limited
+        n = 1500
+        text = "set A = 2\ndef x0 = id(A)\n" + "".join(
+            f"def x{i} = x{i - 1} ; id(A)\n" for i in range(1, n)
+        )
+        report = run_source(text + f"check x{n - 1} == x0\n")
+        assert report.error is None and report.exit_code == 0
+
     def test_compositional_denotation(self):
         # evaluating an operator node equals combining the evaluations
         env = elaborate(
@@ -191,25 +199,6 @@ class TestEvaluation:
         assert equal(evaluate_name(env, "s"), vcompose(f, g))
         assert equal(evaluate_name(env, "h"), hcompose_two(f, f))
         assert equal(evaluate_name(env, "p"), tensor(f, f))
-
-    def test_randomized_compositional_denotation(self):
-        rng = random.Random(3)
-        atoms = ["create(A)", "(create(A) ; delete(A))", "id(1)"]
-
-        def grow(depth):
-            if depth == 0:
-                return rng.choice(atoms)
-            a, b = grow(depth - 1), grow(depth - 1)
-            op = rng.choice([" . ", " * "])
-            return f"({a}{op}{b})"
-
-        for trial in range(20):
-            text = f"set A = 2\ndef x = {grow(3)}\n"
-            env = elaborate(parse(text))
-            typed = env.cells["x"].typed
-            cell = evaluate(env, typed)
-            assert cell.domain.fiber_sizes() == typed.domain.fiber_sizes()
-            assert cell.codomain.fiber_sizes() == typed.codomain.fiber_sizes()
 
 
 # Every builtin at a small size, the controlled one with distinct sizes
@@ -236,10 +225,10 @@ class TestChargeTable:
     def test_every_builtin_is_listed(self):
         assert {c.split("(")[0] for c in BUILTIN_CALLS} == set(dsl.BUILTIN_OPS)
 
-    @pytest.mark.parametrize("call", BUILTIN_CALLS)
-    def test_no_relation_built_exceeds_the_charge(self, monkeypatch, call):
-        # the charge is what `_refuse_dense` is asked to allow; every
-        # relation built, dense or from Kronecker factors, is recorded
+    @staticmethod
+    def record(monkeypatch) -> tuple[list[int], list[int]]:
+        """The sizes of every relation built, dense or from Kronecker
+        factors, and every charge that `_refuse_dense` is asked to allow."""
         built, charged = [], []
         init, materialise = relations.Rel.__init__, relations._materialise
         refuse = dsl._refuse_dense
@@ -260,12 +249,31 @@ class TestChargeTable:
         monkeypatch.setattr(relations.Rel, "__init__", recording_init)
         monkeypatch.setattr(relations, "_materialise", recording_materialise)
         monkeypatch.setattr(dsl, "_refuse_dense", recording_refuse)
+        return built, charged
+
+    @pytest.mark.parametrize("call", BUILTIN_CALLS)
+    def test_no_relation_built_exceeds_the_charge(self, monkeypatch, call):
+        built, charged = self.record(monkeypatch)
         region_structure.cache_clear()
         report = run_source(
             f"set A = 3\nset B = 2\nbuiltin x = {call}\ncheck x == x\n"
         )
         assert report.exit_code == 0, report.error
         assert built and max(built) <= max(charged)
+
+    def test_oversized_composite_is_refused_before_it_is_built(self, monkeypatch):
+        # 26^4 bits for the inner product, 26^6 for the outer one
+        assert 26**4 <= dsl.MAX_DENSE_BITS < 26**6
+        built, charged = self.record(monkeypatch)
+        report = run_source(
+            "set A = 26\ndef x = id(A) * id(A) * id(A)\ncheck x == x\n"
+        )
+        assert report.error == (
+            "2:9: cell of 308915776 dense bits (294.6 MiB) exceeds the limit "
+            "of 268435456"
+        )
+        assert charged[-1] == 26**6
+        assert built and max(built) <= max(charged[:-1]) < 26**6
 
 
 class TestCheckEquation:
@@ -293,6 +301,22 @@ class TestCheckEquation:
         )
         assert report.exit_code == 0
         assert calls == ["id", "id", "id"]
+
+    def test_each_def_is_built_once(self, monkeypatch):
+        # y is built at its def, then read by name from z and both checks
+        calls = []
+
+        def counted(a, b, _build=dsl.vcompose):
+            calls.append(1)
+            return _build(a, b)
+
+        monkeypatch.setattr(dsl, "vcompose", counted)
+        report = run_source(
+            "set A = 2\ndef x = id(A)\ndef y = x ; x\ndef z = y * y\n"
+            "check z == z\ncheck y == y\n"
+        )
+        assert report.exit_code == 0
+        assert len(calls) == 1
 
     def test_unequal_with_witness(self):
         report = run_source(

@@ -5,7 +5,7 @@ import pytest
 
 import oracle_naive
 import oracle_snake
-from oracle_laws import all_relations
+from oracle_laws import all_permutations, all_relations
 from relcat.generators import cup_from_permutation
 from relcat.protocols import (
     check_correctness,
@@ -212,7 +212,7 @@ class TestPruningSoundness:
             ):
                 snake_cups.append(cup)
         perm_cups = [
-            cup_from_permutation(p).cup for p in Permutation.all(2)
+            cup_from_permutation(p).cup for p in all_permutations(2)
         ]
         assert sorted(relation_code(c) for c in snake_cups) == sorted(
             relation_code(c) for c in perm_cups
