@@ -321,7 +321,98 @@ def cmd_theorems(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("human", "json"), default="human")
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+    _add_format(p)
+
+
+def _verify_otp_arguments(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--group", type=_integer, help="modular scheme of this order")
+    group.add_argument("--file", help="source file declaring encrypt/decrypt/pad")
+    _add_format(p)
+
+
+def _verify_dh_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--prime", type=_integer, required=True)
+    p.add_argument("--include-identity", action="store_true")
+    p.add_argument(
+        "--no-erase",
+        action="store_true",
+        help="keep the published values (the equation is expected to fail)",
+    )
+    p.add_argument(
+        "--max-prime",
+        type=_integer,
+        default=DEFAULT_DH_CAP,
+        help="refuse larger primes (default %(default)s; the check at 19 "
+        "takes about a second)",
+    )
+    _add_format(p)
+
+
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", required=True, metavar="P,K,C")
+    p.add_argument(
+        "--constraints",
+        default="correctness",
+        help="comma-separated subset of correctness,S1,S2,S3,S4",
+    )
+    p.add_argument("--dedup", action="store_true")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument(
+        "--timings", action="store_true", help="include wall-clock time in the summary"
+    )
+
+
+def _theorems_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sizes", required=True, metavar="P,K,C")
+    p.add_argument(
+        "--samples",
+        type=_integer,
+        default=0,
+        help="sample this many candidates instead of exhausting the space",
+    )
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    _add_format(p)
+
+
+# name -> (help text, adds the command's arguments, handler)
+COMMANDS = {
+    "check": ("run the checks in a source file", _check_arguments, cmd_check),
+    "verify-otp": (
+        "verify an encryption scheme end to end",
+        _verify_otp_arguments,
+        cmd_verify_otp,
+    ),
+    "verify-dh": (
+        "verify key exchange at a prime order",
+        _verify_dh_arguments,
+        cmd_verify_dh,
+    ),
+    "enumerate": (
+        "print all implementations at given sizes once the search finishes",
+        _enumerate_arguments,
+        cmd_enumerate,
+    ),
+    "theorems": (
+        "confirm the structural theorems over a solution space",
+        _theorems_arguments,
+        cmd_theorems,
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line.  Every command is listed, so help, usage and
+    choice errors are the same whatever `command` is; only the named
+    command, or every command when it is None, gets its arguments,
+    ``-h`` included."""
     parser = argparse.ArgumentParser(
         prog="relcat",
         description=(
@@ -330,76 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("human", "json"), default="human"
-        )
-
-    p_check = sub.add_parser("check", help="run the checks in a source file")
-    p_check.add_argument("file")
-    add_format(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_otp = sub.add_parser(
-        "verify-otp", help="verify an encryption scheme end to end"
-    )
-    group = p_otp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--group", type=_integer, help="modular scheme of this order")
-    group.add_argument("--file", help="source file declaring encrypt/decrypt/pad")
-    add_format(p_otp)
-    p_otp.set_defaults(func=cmd_verify_otp)
-
-    p_dh = sub.add_parser("verify-dh", help="verify key exchange at a prime order")
-    p_dh.add_argument("--prime", type=_integer, required=True)
-    p_dh.add_argument("--include-identity", action="store_true")
-    p_dh.add_argument(
-        "--no-erase",
-        action="store_true",
-        help="keep the published values (the equation is expected to fail)",
-    )
-    p_dh.add_argument(
-        "--max-prime",
-        type=_integer,
-        default=DEFAULT_DH_CAP,
-        help="refuse larger primes (default %(default)s; the check at 19 "
-        "takes about a second)",
-    )
-    add_format(p_dh)
-    p_dh.set_defaults(func=cmd_verify_dh)
-
-    p_enum = sub.add_parser(
-        "enumerate",
-        help="print all implementations at given sizes once the search finishes",
-    )
-    p_enum.add_argument("--sizes", required=True, metavar="P,K,C")
-    p_enum.add_argument(
-        "--constraints",
-        default="correctness",
-        help="comma-separated subset of correctness,S1,S2,S3,S4",
-    )
-    p_enum.add_argument("--dedup", action="store_true")
-    p_enum.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    p_enum.add_argument(
-        "--timings", action="store_true", help="include wall-clock time in the summary"
-    )
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_thm = sub.add_parser(
-        "theorems", help="confirm the structural theorems over a solution space"
-    )
-    p_thm.add_argument("--sizes", required=True, metavar="P,K,C")
-    p_thm.add_argument(
-        "--samples",
-        type=_integer,
-        default=0,
-        help="sample this many candidates instead of exhausting the space",
-    )
-    p_thm.add_argument("--seed", type=_integer, default=0)
-    p_thm.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    add_format(p_thm)
-    p_thm.set_defaults(func=cmd_theorems)
-
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        selected = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=selected)
+        if selected:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -407,7 +434,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     # counterexamples name relations by their bit codes, which pass
     # Python's default limit of 4300 digits from about 14,300 bits
     sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a parser per call, with the arguments of the command it runs only
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -20,7 +20,10 @@ terms, and equality checks.  Grammar::
     tuple   := elem | "(" ")" | "(" elem ("," elem)* ")"
     elem    := INT | IDENT
 
-Comments run from ``#`` to end of line.  Operator precedence is ``*`` over
+Comments run from ``#`` to end of line.  The tokenizer is one compiled
+pattern matched at successive offsets, with a branch each for newlines,
+blanks, comments, identifiers, integers and punctuation; identifiers and
+integers are ASCII only.  Operator precedence is ``*`` over
 ``.`` over ``;``, all left associative: ``;`` composes in time (left operand
 first), ``.`` places cells side by side with the left operand on the left,
 and ``*`` is the tensor with the left operand as the high digit.  Builtins:
@@ -31,20 +34,21 @@ public value.
 
 `elaborate` builds each cell once, at its statement: `evaluate` types a
 composite from its operands' cells and refuses it by its dense size before
-building it.  A check compares two built cells by name.
+building it.  It walks the left spine of an operator chain in a loop, so
+only parentheses nest.  A check compares two built cells by name.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from operator import mul
+from typing import NamedTuple, Optional, Union
 
 from relcat.cells import (
     OneCell,
     TwoCell,
     equal,
-    hcompose_one,
     hcompose_two,
     identity_one_cell,
     identity_two_cell,
@@ -95,62 +99,56 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}{extra}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, PUNCT, EOF
     text: str
     line: int
     col: int
 
 
-_PUNCT = ("->", "==", "=", ":", ";", ".", "*", "(", ")", "{", "}", ",")
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_CONT = set(string.ascii_letters + string.digits + "_")
-# ASCII only: `str.isdigit` also accepts superscripts and other scripts'
-# digits, which `int` then refuses or reads as decimals
-_DIGITS = set(string.digits)
+# One branch per kind of lexeme, tried in this order at each offset.  `->`
+# and `==` come before `=`.  Identifiers and integers are ASCII only:
+# `str.isdigit` and `\d` also accept superscripts and other scripts' digits,
+# which `int` then refuses or reads as decimals.
+_LEXEME = re.compile(
+    r"""
+    (?P<NEWLINE>\n)
+  | (?P<BLANK>[ \t\r]+)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<PUNCT>->|==|[=:;.*(){},])
+    """,
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str) -> list[Token]:
     out = []
-    line, col, i = 1, 1, 0
+    append, match = out.append, _LEXEME.match
+    # `eof` is where the end-of-file token goes: a comment does not advance
+    # the column, so a file that ends in one ends at its `#`
+    line, line_start, pos, eof = 1, 0, 0, 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            out.append(Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            out.append(Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                out.append(Token("PUNCT", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = m.lastgroup
+        if kind == "BLANK":
+            eof = m.end()
+        elif kind == "NEWLINE":
+            line += 1
+            line_start = eof = pos + 1
+        elif kind == "COMMENT":
+            eof = pos
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("EOF", "", line, col))
+            append(Token(kind, m.group(), line, pos - line_start + 1))
+            eof = m.end()
+        pos = m.end()
+    append(Token("EOF", "", line, eof - line_start + 1))
     return out
 
 
@@ -610,6 +608,10 @@ class Env:
     cells: dict[str, TwoCell] = field(default_factory=dict)
     controlled: dict[str, ControlledOp] = field(default_factory=dict)
     checks: list[CheckDecl] = field(default_factory=list)
+    # label -> element, for each set an element was named in
+    label_index: dict[FiniteSet, dict[str, int]] = field(
+        default_factory=dict, repr=False
+    )
 
 
 def _flatten_type(env: Env, t: TypeExpr) -> list[FiniteSet]:
@@ -640,7 +642,7 @@ def _type_one_cell(env: Env, t: TypeExpr) -> OneCell:
     return scalar_one_cell(_type_fiber(env, t))
 
 
-def _resolve_elem(factor: FiniteSet, elem: Elem, where) -> int:
+def _resolve_elem(env: Env, factor: FiniteSet, elem: Elem, where) -> int:
     if isinstance(elem, int):
         if not 0 <= elem < factor.size:
             raise ElaborationError(
@@ -649,15 +651,20 @@ def _resolve_elem(factor: FiniteSet, elem: Elem, where) -> int:
                 where.col,
             )
         return elem
-    if factor.labels is not None and elem in factor.labels:
-        return factor.labels.index(elem)
+    index = env.label_index.get(factor)
+    if index is None:
+        index = env.label_index[factor] = {
+            label: i for i, label in enumerate(factor.labels or ())
+        }
+    if elem in index:
+        return index[elem]
     raise ElaborationError(
         f"unknown element label {elem!r}", where.line, where.col
     )
 
 
 def _encode_tuple(
-    factors: list[FiniteSet], pattern: TuplePattern, where
+    env: Env, factors: list[FiniteSet], pattern: TuplePattern, where
 ) -> int:
     if len(pattern) != len(factors):
         raise ElaborationError(
@@ -668,7 +675,7 @@ def _encode_tuple(
         )
     index = 0
     for factor, elem in zip(factors, pattern):
-        index = index * factor.size + _resolve_elem(factor, elem, where)
+        index = index * factor.size + _resolve_elem(env, factor, elem, where)
     return index
 
 
@@ -686,8 +693,8 @@ def _build_rel(
     _refuse_dense(src.size * dst.size, where.line, where.col)
     pairs = [
         (
-            _encode_tuple(dom_factors, a, where),
-            _encode_tuple(cod_factors, b, where),
+            _encode_tuple(env, dom_factors, a, where),
+            _encode_tuple(env, cod_factors, b, where),
         )
         for a, b in data
     ]
@@ -713,7 +720,7 @@ def _builtin_binding(
         )
         by_value: dict[int, Rel] = {}
         for key, data in call.blocks:
-            v = _resolve_elem(public, key, call)
+            v = _resolve_elem(env, public, key, call)
             if v in by_value:
                 raise ElaborationError(
                     f"public value {key!r} given twice", call.line, call.col
@@ -768,41 +775,74 @@ def _describe(cell: OneCell) -> str:
     return f"{fiber.size}-element set"
 
 
+def _hcompose_bits(first: TwoCell, second: TwoCell) -> int:
+    """`_dense_bits` of `hcompose_two(first, second)`, from the operands'
+    fiber sizes in Python integers: the composite fiber (u, s) has the sum
+    over t of |second fiber (u, t)| * |first fiber (t, s)| elements."""
+
+    def sizes(a: OneCell, b: OneCell) -> list[int]:
+        a_columns = list(zip(*a.sizes.tolist()))
+        return [
+            sum(map(mul, row, column))
+            for row in b.sizes.tolist()
+            for column in a_columns
+        ]
+
+    return sum(
+        map(
+            mul,
+            sizes(first.domain, second.domain),
+            sizes(first.codomain, second.codomain),
+        )
+    )
+
+
 def evaluate(env: Env, term: Term) -> TwoCell:
-    """The cell a term denotes, by one structural recursion."""
+    """The cell a term denotes.
+
+    The left spine of an operator chain is walked in a loop, so a long
+    chain does not nest; only right operands recurse.  Operands are
+    evaluated left to right, and each node is charged by its dense size
+    before its composite is built.
+    """
+    spine = []
+    while isinstance(term, (SeqTerm, HorizTerm, ParTerm)):
+        spine.append(term)
+        term = term.first if isinstance(term, SeqTerm) else term.left
     if isinstance(term, NameTerm):
         if term.name not in env.cells:
             raise ElaborationError(
                 f"unknown cell {term.name!r}", term.line, term.col
             )
-        return env.cells[term.name]
-    if isinstance(term, BuiltinCall):
-        return _builtin_binding(env, term)[0]
-    if isinstance(term, SeqTerm):
-        first, second = evaluate(env, term.first), evaluate(env, term.second)
-        if first.codomain.fiber_sizes() != second.domain.fiber_sizes():
-            raise ElaborationError(
-                f"cannot compose in sequence: first stage produces a "
-                f"{_describe(first.codomain)}, second consumes a "
-                f"{_describe(second.domain)}",
-                *_term_pos(term.second),
-            )
-        dom, cod, compose = first.domain, second.codomain, vcompose
-    elif isinstance(term, HorizTerm):
-        # the right operand is applied first
-        second, first = evaluate(env, term.left), evaluate(env, term.right)
-        dom = hcompose_one(first.domain, second.domain)
-        cod = hcompose_one(first.codomain, second.codomain)
-        compose = hcompose_two
-    elif isinstance(term, ParTerm):
-        first, second = evaluate(env, term.left), evaluate(env, term.right)
-        dom = tensor_one(first.domain, second.domain)
-        cod = tensor_one(first.codomain, second.codomain)
-        compose = tensor
+        cell = env.cells[term.name]
+    elif isinstance(term, BuiltinCall):
+        cell = _builtin_binding(env, term)[0]
     else:
         raise AssertionError(term)
-    _refuse_dense(_dense_bits(dom, cod), *_term_pos(term))
-    return compose(first, second)
+    where = (term.line, term.col)  # every node of the spine starts here
+    for node in reversed(spine):
+        if isinstance(node, SeqTerm):
+            first, second = cell, evaluate(env, node.second)
+            if first.codomain.fiber_sizes() != second.domain.fiber_sizes():
+                raise ElaborationError(
+                    f"cannot compose in sequence: first stage produces a "
+                    f"{_describe(first.codomain)}, second consumes a "
+                    f"{_describe(second.domain)}",
+                    *_term_pos(node.second),
+                )
+            bits, compose = _dense_bits(first.domain, second.codomain), vcompose
+        elif isinstance(node, HorizTerm):
+            # the right operand is applied first
+            second, first = cell, evaluate(env, node.right)
+            bits, compose = _hcompose_bits(first, second), hcompose_two
+        else:
+            first, second = cell, evaluate(env, node.right)
+            dom = tensor_one(first.domain, second.domain)
+            cod = tensor_one(first.codomain, second.codomain)
+            bits, compose = _dense_bits(dom, cod), tensor
+        _refuse_dense(bits, *where)
+        cell = compose(first, second)
+    return cell
 
 
 def _term_pos(term: Term) -> tuple[int, int]:

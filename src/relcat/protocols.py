@@ -470,11 +470,11 @@ def _sharing(record: Verification) -> tuple[EquationVerdict, ...]:
     prepare = hcompose_two(_cup_split(inst.pad), id_bl)
     adjust = hcompose_two(k_wire, controlled_at_left_boundary(inst.decrypt))
     combine = hcompose_two(_enc_published_split(inst), id_bl)
-    lhs = vcompose_many(prepare, adjust, combine)
+    after_adjust = vcompose(prepare, adjust)
+    lhs = vcompose(after_adjust, combine)
     rhs = hcompose_two(id_bl, rs.copy)
     recombination = _verdict("sharing_recombination", lhs, rhs)
 
-    after_adjust = vcompose(prepare, adjust)
     p_bl = identity_two_cell(
         hcompose_one(scalar_one_cell(inst.plaintexts), rs.boundary_left)
     )

@@ -1,6 +1,8 @@
+import argparse
 import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -89,9 +91,11 @@ class TestCheck:
                 f"def x = {'(' * 3000}f{')' * 3000}\ncheck x == x\n",
                 "nested too deeply",
             ),
+            # a chain nests only through parentheses: `f ; f ; f` is read
+            # in a loop, `f ; (f ; (f))` by recursion
             (
                 "set A = 2\nbuiltin f = id(A)\n"
-                f"def x = f{' ; f' * 3000}\ncheck x == x\n",
+                f"def x = f{' ; (f' * 3000}{')' * 3000}\ncheck x == x\n",
                 "nested too deeply",
             ),
             (
@@ -684,6 +688,44 @@ def test_integers_are_ascii_digits(capsys, monkeypatch, argv, budget):
     assert len(errors) == 1 and "integer" in errors[0]
 
 
+def _cli_surface() -> list[dict]:
+    with open(data(os.path.join("golden", "cli_surface.json")), encoding="utf-8") as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize(
+    "case", _cli_surface(), ids=lambda case: " ".join(case["argv"]) or "no arguments"
+)
+def test_help_usage_and_errors_are_pinned(capsys, monkeypatch, case):
+    # the golden was written by `python -m relcat.cli` with COLUMNS=80, the
+    # width argparse wraps help to
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+
+
+def test_each_call_builds_its_own_parser(capsys, monkeypatch):
+    # no parser is kept between calls: each stands for a fresh process
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "relcat":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    for _ in range(2):
+        assert main(["enumerate", "--sizes", "1,1,1"]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
+
+
 class TestConsoleScript:
     @staticmethod
     def _start(argv):
@@ -720,6 +762,21 @@ class TestConsoleScript:
         err = proc.stderr.read()
         assert proc.wait() == 1
         assert err == b""
+
+    def test_deep_parentheses_are_refused_by_the_parser(self, tmp_path):
+        # parentheses nest for real, so the parser refuses them where its
+        # recursion runs out, located at an opening parenthesis
+        path = tmp_path / "deep.rcat"
+        path.write_text(
+            f"set A = 2\ndef x = {'(' * 3000}id(A){')' * 3000}\ncheck x == x\n",
+            encoding="utf-8",
+        )
+        proc = self._start(["check", str(path)])
+        out, err = proc.communicate()
+        assert proc.returncode == 2 and out == b""
+        assert re.fullmatch(
+            rb"error: 2:\d+: terms nested too deeply, found '\('\n", err
+        )
 
     def test_module_invocation(self):
         out = subprocess.run(

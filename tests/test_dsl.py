@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from relcat import dsl, relations
+from relcat import cells, dsl, relations
 from relcat.cells import equal, hcompose_two, tensor, vcompose
 from relcat.dsl import (
     CheckReport,
@@ -181,6 +181,42 @@ class TestEvaluation:
         )
         report = run_source(text + f"check x{n - 1} == x0\n")
         assert report.error is None and report.exit_code == 0
+
+    @pytest.mark.parametrize("op, size", [(";", 2), (".", 1), ("*", 1)])
+    def test_long_chains_elaborate(self, op, size):
+        # the left spine of a chain is walked in a loop, not by recursion
+        n = 3000
+        env = elaborate(
+            parse(f"set A = {size}\ndef x = id(A){f' {op} id(A)' * n}\n")
+        )
+        assert env.cells["x"].codomain.fiber_sizes() == ((size,),)
+
+    def test_horizontal_composite_builds_each_boundary_once(self, monkeypatch):
+        # the charge is read off the operands' fiber sizes, so the only
+        # composite one-cells built are the two boundaries of x
+        built = []
+        composite = cells.OneCell._composite
+
+        def counted(cls, *args):
+            built.append(composite(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cells.OneCell, "_composite", classmethod(counted))
+        env = elaborate(parse("set A = 2\ndef x = id(A) . id(A)\n"))
+        x = env.cells["x"]
+        assert built == [x.domain, x.codomain]
+
+    def test_horizontal_charge_matches_the_built_composite(self, monkeypatch):
+        charged = []
+        monkeypatch.setattr(
+            dsl, "_refuse_dense", lambda bits, line, col: charged.append(bits)
+        )
+        env = elaborate(
+            parse("set A = 2\nset B = 3\ndef x = cup(A) . copy(B) . delete(A)\n")
+        )
+        x = env.cells["x"]
+        # 2 * 3 * 1 elements in, 4 * 9 * 1 out
+        assert charged[-1] == dsl._dense_bits(x.domain, x.codomain) == 6 * 36
 
     def test_compositional_denotation(self):
         # evaluating an operator node equals combining the evaluations

@@ -378,6 +378,24 @@ class TestSecretSharing:
         with pytest.raises(PreconditionError):
             secret_sharing_from_otp(broken_decrypt_instance())
 
+    def test_each_vertical_composite_is_built_once(self, monkeypatch):
+        # the recombination and both erasures start with `prepare ; adjust`
+        import relcat.protocols as protocols
+
+        operands = []  # kept alive, so that no two cells share an id
+
+        def counted(a, b, _build=cells.vcompose):
+            operands.append((a, b))
+            return _build(a, b)
+
+        monkeypatch.setattr(cells, "vcompose", counted)
+        monkeypatch.setattr(protocols, "vcompose", counted)
+        result = secret_sharing_from_otp(group_instance(3))
+        assert result.recombination.holds
+        assert result.erase_left_share.holds and result.erase_right_share.holds
+        assert len(operands) == 7
+        assert len({(id(a), id(b)) for a, b in operands}) == 7
+
     def test_instance_fields(self):
         result = secret_sharing_from_otp(single_bit_instance())
         inst = result.instance
