@@ -34,8 +34,9 @@ public value.
 
 `elaborate` builds each cell once, at its statement: `evaluate` types a
 composite from its operands' cells and refuses it by its dense size before
-building it.  It walks the left spine of an operator chain in a loop, so
-only parentheses nest.  A check compares two built cells by name.
+building it.  It walks the left spine of an operator chain in a loop, as
+the printer does, and product types are flattened off an explicit stack,
+so only parentheses nest.  A check compares two built cells by name.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from relcat.cells import (
     identity_two_cell,
     scalar_one_cell,
     tensor,
-    tensor_one,
     vcompose,
 )
 from relcat.generators import (
@@ -615,15 +615,20 @@ class Env:
 
 
 def _flatten_type(env: Env, t: TypeExpr) -> list[FiniteSet]:
-    if isinstance(t, TypeUnit):
-        return []
-    if isinstance(t, TypeName):
-        if t.name not in env.sets:
-            raise ElaborationError(f"unknown set {t.name!r}", t.line, t.col)
-        return [env.sets[t.name]]
-    if isinstance(t, TypeProd):
-        return _flatten_type(env, t.left) + _flatten_type(env, t.right)
-    raise AssertionError(t)
+    """The factors of a type, left to right, taken off an explicit stack,
+    so that a product of any length or nesting does not recurse."""
+    factors, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, TypeProd):
+            todo += (t.right, t.left)
+        elif isinstance(t, TypeName):
+            if t.name not in env.sets:
+                raise ElaborationError(f"unknown set {t.name!r}", t.line, t.col)
+            factors.append(env.sets[t.name])
+        elif not isinstance(t, TypeUnit):
+            raise AssertionError(t)
+    return factors
 
 
 def _type_fiber(env: Env, t: TypeExpr) -> FiniteSet:
@@ -836,10 +841,10 @@ def evaluate(env: Env, term: Term) -> TwoCell:
             second, first = cell, evaluate(env, node.right)
             bits, compose = _hcompose_bits(first, second), hcompose_two
         else:
+            # each component of a tensor is a product of one from each side
             first, second = cell, evaluate(env, node.right)
-            dom = tensor_one(first.domain, second.domain)
-            cod = tensor_one(first.codomain, second.codomain)
-            bits, compose = _dense_bits(dom, cod), tensor
+            sizes = [_dense_bits(x.domain, x.codomain) for x in (first, second)]
+            bits, compose = sizes[0] * sizes[1], tensor
         _refuse_dense(bits, *where)
         cell = compose(first, second)
     return cell
@@ -982,12 +987,14 @@ def run_source(text: str) -> SourceReport:
 
 
 def _format_type(t: TypeExpr, nested: bool = False) -> str:
-    if isinstance(t, TypeUnit):
-        return "1"
-    if isinstance(t, TypeName):
-        return t.name
-    text = f"{_format_type(t.left)} * {_format_type(t.right, nested=True)}"
-    return f"({text})" if nested else text
+    """A type's source text; the left spine of a product is walked in a
+    loop, and only right operands, parenthesised when products, recurse."""
+    rights = []
+    while isinstance(t, TypeProd):
+        rights.append(_format_type(t.right, nested=True))
+        t = t.left
+    text = " * ".join(["1" if isinstance(t, TypeUnit) else t.name, *reversed(rights)])
+    return f"({text})" if nested and rights else text
 
 
 def _format_elem(e: Elem) -> str:
@@ -1028,19 +1035,26 @@ _OPS = {SeqTerm: ";", HorizTerm: ".", ParTerm: "*"}
 
 
 def _format_term(term: Term, parent: int = 0) -> str:
+    """A term's source text, parenthesised where it binds looser than
+    `parent`.  The left spine is walked in a loop while no parentheses are
+    needed; only right operands and parenthesised left operands recurse."""
+    tail = []
+    while type(term) in _PREC and _PREC[type(term)] >= parent:
+        parent = _PREC[type(term)]
+        left, right = (
+            (term.first, term.second)
+            if isinstance(term, SeqTerm)
+            else (term.left, term.right)
+        )
+        tail.append(f" {_OPS[type(term)]} {_format_term(right, parent + 1)}")
+        term = left
     if isinstance(term, NameTerm):
-        return term.name
-    if isinstance(term, BuiltinCall):
-        return _format_call(term)
-    prec = _PREC[type(term)]
-    op = _OPS[type(term)]
-    a, b = (
-        (term.first, term.second)
-        if isinstance(term, SeqTerm)
-        else (term.left, term.right)
-    )
-    text = f"{_format_term(a, prec)} {op} {_format_term(b, prec + 1)}"
-    return f"({text})" if prec < parent else text
+        head = term.name
+    elif isinstance(term, BuiltinCall):
+        head = _format_call(term)
+    else:
+        head = f"({_format_term(term)})"
+    return head + "".join(reversed(tail))
 
 
 def format_source(sf: SourceFile) -> str:

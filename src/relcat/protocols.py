@@ -590,13 +590,17 @@ def instance_bits(p: int, k: int, c: int) -> int:
     encryption, reached only when p = k, builds p·k³·c bits.  Larger
     Kronecker products, such as the rebuild's (p·k·c)², are contracted and
     never built (`relations.compose`), except that a product of at most
-    `relations._BOOL_MATMUL_MAX_WORK` cells is built when it is made.
+    `relations._BOOL_MATMUL_MAX_WORK` cells is built when it is made.  The
+    region on the ciphertexts is charged c³, as the DSL charges it: its
+    c x c copy and compare tuples and the c² paths `hcompose_two` walks
+    through it are Python-level work that no single matrix shows.
     """
     bits = max(
         (p * k) ** 2,
         (k * c) ** 2,
         (p * c) ** 2,
         min((p * k * c) ** 2, relations._BOOL_MATMUL_MAX_WORK),
+        c**3,
     )
     if p == k:
         bits = max(bits, p * k**3 * c)

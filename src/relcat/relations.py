@@ -502,11 +502,9 @@ def relation_from_code(src: SetLike, dst: SetLike, code: int) -> Rel:
     return Rel(src, dst, bits)
 
 
-def relation_code(r: Union[Rel, np.ndarray]) -> int:
-    """The bit code of a relation, or of its bit matrix: the inverse of
-    `relation_from_code`."""
-    bits = r.bits if isinstance(r, Rel) else r
+def relation_code(r: Rel) -> int:
+    """The bit code of a relation: the inverse of `relation_from_code`."""
     code = 0
-    for bit in bits.reshape(-1):
+    for bit in r.bits.reshape(-1):
         code = (code << 1) | int(bit)
     return code

@@ -53,15 +53,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from relcat.generators import ControlledOp, cup_from_permutation
 from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
     product_set,
-    relation_code,
     relation_from_code,
 )
 
@@ -191,6 +188,13 @@ def _rows(code: int, n_src: int, n_dst: int) -> list[str]:
     return [bits[i * n_src : (i + 1) * n_src] for i in range(n_dst)]
 
 
+def _blocks(code: int, width: int, count: int) -> list[int]:
+    """The `count` blocks of `width` bits of a code, most significant first:
+    an encryption code's rows, one per ciphertext."""
+    mask = (1 << width) - 1
+    return [code >> (count - 1 - i) * width & mask for i in range(count)]
+
+
 class _BlockSolver:
     """The constraints of one ciphertext block, read off the bit codes.
 
@@ -245,6 +249,16 @@ class _BlockSolver:
             out |= part << shift if shift >= 0 else part >> -shift
         return out
 
+    def relabel(self, code: int, sp: Sequence[int], sk: Sequence[int]) -> int:
+        """The code whose entry (sp[m], sk[x]) is entry (m, x) of `code`: the
+        keys move through the pad sk, then each message row, a run of k
+        bits, moves by one shift to row sp[m]."""
+        u, out = self.through_pad(code, sk), 0
+        for m, row in enumerate(self.rows):
+            shift, part = (m - sp[m]) * self.k, u & row
+            out |= part << shift if shift >= 0 else part >> -shift
+        return out
+
     def is_permutation(self, code: int) -> bool:
         """Whether the code has exactly one bit in each row and column."""
         return (
@@ -260,10 +274,7 @@ class _BlockSolver:
         (``fibers_bijective`` is its attribute of that name)."""
         p, k, c = record.sizes
         width = p * k
-        e_rows = [
-            record.encrypt_code >> (c - 1 - i) * width & (1 << width) - 1
-            for i in range(c)
-        ]
+        e_rows = _blocks(record.encrypt_code, width, c)
         unpad = sorted(range(k), key=record.pad_mapping.__getitem__)
         u_blocks = [self.through_pad(d, unpad) for d in record.decrypt_codes]
         bijective = all(self.is_permutation(d) for d in record.decrypt_codes)
@@ -360,22 +371,21 @@ def enumerate_solutions(spec: SearchSpec) -> list[SolutionRecord]:
 def _orbit_triples(
     record: SolutionRecord,
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """The triples of every relabeling (sp, sk, sc) of the three carriers."""
+    """The triples of every relabeling (sp, sk, sc) of the three carriers:
+    entry (i, m, j) moves to (sc[i], sp[m], sk[j]), block by block on the
+    bit codes, and the pad is conjugated, new[sk[j]] = sk[pad[j]]."""
     p, k, c = record.sizes
-    e, ds, perm = record.relations()
-    # encryption and decryption both as (ciphertext, message, key) arrays
-    stacks = (e.bits.reshape(c, p, k), np.stack([d.bits for d in ds]))
-    for sp, sk, sc in itertools.product(
-        *(list(itertools.permutations(range(n))) for n in (p, k, c))
-    ):
-        # entry (i, m, j) moves to (sc[i], sp[m], sk[j])
-        where = np.ix_(np.argsort(sc), np.argsort(sp), np.argsort(sk))
-        e_new, d_new = (stack[where] for stack in stacks)
-        yield (
-            relation_code(e_new),
-            tuple(relation_code(d) for d in d_new),
-            tuple(sk[perm.mapping[j]] for j in np.argsort(sk)),
-        )
+    solver = _BlockSolver(p, k, frozenset())
+    blocks = list(zip(_blocks(record.encrypt_code, p * k, c), record.decrypt_codes))
+    s_p, s_k, s_c = (list(itertools.permutations(range(n))) for n in (p, k, c))
+    for sp, sk in itertools.product(s_p, s_k):
+        moved = [tuple(solver.relabel(x, sp, sk) for x in pair) for pair in blocks]
+        unkey = sorted(range(k), key=sk.__getitem__)
+        pad = tuple(sk[record.pad_mapping[j]] for j in unkey)
+        for sc in s_c:
+            placed = sorted(zip(sc, moved))  # block i becomes block sc[i]
+            e_code = sum(e << (c - 1 - i) * p * k for i, (e, _) in placed)
+            yield e_code, tuple(d for _, (_, d) in placed), pad
 
 
 def dedup_records(records: Sequence[SolutionRecord]) -> list[SolutionRecord]:
@@ -383,17 +393,18 @@ def dedup_records(records: Sequence[SolutionRecord]) -> list[SolutionRecord]:
 
     The representative kept for each orbit is the lexicographically least
     (encrypt, decrypt, pad) triple; relabeling preserves every constraint,
-    so the representative's verdicts are those of the orbit.
+    so the verdicts of the orbit's first record are those of the orbit.
+    Each orbit is relabeled once, at its first record.
     """
-    chosen: dict[tuple, SolutionRecord] = {}
+    seen: set[tuple] = set()
+    chosen = []
     for rec in records:
-        least = min(_orbit_triples(rec))
-        if least not in chosen:
-            e_code, d_codes, pad = least
-            chosen[least] = SolutionRecord(
-                rec.sizes, e_code, d_codes, pad, dict(rec.verdicts), least
-            )
-    return [chosen[key] for key in sorted(chosen)]
+        if rec.triple() not in seen:
+            orbit = set(_orbit_triples(rec))
+            seen |= orbit
+            least = min(orbit)
+            chosen.append(SolutionRecord(rec.sizes, *least, dict(rec.verdicts), least))
+    return sorted(chosen, key=lambda rec: rec.canonical)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Run as a script to print the frozen golden counts:
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def rel_from_code(n_src: int, n_dst: int, code: int) -> frozenset:
@@ -163,6 +164,50 @@ def dedup_triples(p, k, c, triples):
         ]
         reps.add(min(orbit))
     return sorted(reps)
+
+
+def _cycle_type(perm) -> tuple[int, ...]:
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _conjugacy_classes(n):
+    """One permutation of each cycle type of S_n, with its class size."""
+    classes = {}
+    for perm in itertools.permutations(range(n)):
+        rep, size = classes.get(_cycle_type(perm), (perm, 0))
+        classes[_cycle_type(perm)] = (rep, size + 1)
+    return list(classes.values())
+
+
+def burnside_orbit_count(p, k, c, triples):
+    """Orbits of a relabeling-closed set of triples, by Burnside's lemma:
+    the mean, over every relabeling g in S_p x S_k x S_c, of the triples
+    that g fixes.  Conjugate relabelings fix equally many triples of a
+    closed set, so one g per conjugacy class is tried, weighted by the
+    class size.  A fixed triple's pad commutes with sk, which is checked
+    before the triple is relabeled."""
+    total = 0
+    for (sp, n_p), (sk, n_k), (sc, n_c) in itertools.product(
+        *(_conjugacy_classes(n) for n in (p, k, c))
+    ):
+        fixed = sum(
+            relabel_triple(p, k, c, t, sp, sk, sc) == t
+            for t in triples
+            if all(t[2][sk[j]] == sk[t[2][j]] for j in range(k))
+        )
+        total += n_p * n_k * n_c * fixed
+    order = math.factorial(p) * math.factorial(k) * math.factorial(c)
+    count, rest = divmod(total, order)
+    assert rest == 0, "the set of triples is not closed under relabeling"
+    return count
 
 
 if __name__ == "__main__":

@@ -53,6 +53,24 @@ class TestCheck:
         assert main(["check", "/nonexistent.rcat"]) == 2
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            f"set A = 1\ngen g : A{' * A' * 2999} -> 1 = {{}}\ncheck g == g\n",
+            f"set A = 1\ndef x = id(A{' * A' * 2999})\ncheck x == x\n",
+            f"set A = 1\nbuiltin x = copy(A{' * A' * 2999})\ncheck x == x\n",
+        ],
+        ids=["gen", "def", "builtin"],
+    )
+    def test_long_product_types_check(self, capsys, tmp_path, text):
+        # a product type is flattened and printed without recursion, so
+        # 3,000 factors do not nest
+        path = tmp_path / "input.rcat"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "EQUAL" in captured.out and captured.err == ""
+
+    @pytest.mark.parametrize(
         "text", ["", "set A = 2\n", "set A = 2\ndef x = id(A)\n"]
     )
     @pytest.mark.parametrize("fmt", ["human", "json"])
@@ -407,6 +425,8 @@ class TestVerifyDh:
 GOLDEN_SEARCH_RUNS = {
     "enumerate_2_2_2.jsonl": ["enumerate", "--sizes", "2,2,2"],
     "enumerate_2_2_2_dedup.jsonl": ["enumerate", "--sizes", "2,2,2", "--dedup"],
+    # written by relabeling every record through numpy arrays
+    "enumerate_2_3_2_dedup.jsonl": ["enumerate", "--sizes", "2,3,2", "--dedup"],
     "enumerate_2_2_2_all.jsonl": [
         "enumerate", "--sizes", "2,2,2", "--constraints", "correctness,S1,S2,S3,S4"
     ],
@@ -630,21 +650,25 @@ class TestTheorems:
         (["theorems", "--sizes", "10,10,100"], "about 2^20022"),
         # one element above the limit of each term of the instance cost
         # (`protocols.refuse_oversized`): the rebuild's p·k³·c, n^5 for a
-        # group, then (p·k)^2 here and (k·c)^2 and c^2 below
+        # group, then (p·k)^2 here and (k·c)^2 and the region's c^3 below
         (["verify-otp", "--group", "49"], "282475249 dense bits (269.4 MiB)"),
         (["theorems", "--sizes", "2,8193,1", "--samples", "2"],
          "268500996 dense bits (256.1 MiB)"),
         (["verify-dh", "--prime", "23"], "exceeds the cap of 19"),
         (["theorems", "--sizes", "1,129,129", "--samples", "2"],
          "276922881 dense bits (264.1 MiB)"),
-        (["theorems", "--sizes", "1,1,16385", "--samples", "2"],
-         "268468225 dense bits (256.0 MiB)"),
+        (["theorems", "--sizes", "1,1,646", "--samples", "2"],
+         "269586136 dense bits (257.1 MiB)"),
         (["theorems", "--sizes", "1,1,1", "--samples", "2000000000"],
          "2000000000 samples exceed the budget of 1073741824"),
         # past 1024 PiB a matrix is sized by its nearest power of two
         (["verify-otp", "--group", f"1{'0' * 70}"], "of about 2^1163 dense bits,"),
         (["theorems", "--sizes", f"1,1{'0' * 160},1", "--samples", "1"],
          "of about 2^1063 dense bits,"),
+        # a sampled counterexample builds the region on the ciphertexts,
+        # charged c^3
+        (["theorems", "--sizes", "1,2,3000", "--samples", "2"],
+         "27000000000 dense bits (25.1 GiB)"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):

@@ -206,6 +206,65 @@ class TestEvaluation:
         x = env.cells["x"]
         assert built == [x.domain, x.codomain]
 
+    def test_tensor_builds_each_boundary_once(self, monkeypatch):
+        # the charge is the product of the operands' dense sizes, so the
+        # only composite one-cells made are the tensor's own two boundaries
+        calls = []
+        tensor_one = cells.tensor_one
+
+        def counted(a, b):
+            calls.append((a, b))
+            return tensor_one(a, b)
+
+        monkeypatch.setattr(cells, "tensor_one", counted)
+        monkeypatch.setattr(dsl, "tensor_one", counted, raising=False)
+        elaborate(parse("set A = 2\ndef x = id(A) * id(A)\n"))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            (
+                "set A = 3000\ndef x = id(A) * id(A)\n",
+                "2:9: cell of 81000000000000 dense bits (73.7 TiB) exceeds "
+                "the limit of 268435456",
+                (2, 9),
+            ),
+            (
+                "set A = 2\nset B = 3000\ndef y = cup(A) . id(B)\n"
+                "def x = id(A) ; y * (delete(A) . id(B))\n",
+                "4:17: cell of 648000000000000 dense bits (589.4 TiB) exceeds "
+                "the limit of 268435456",
+                (4, 17),
+            ),
+            (
+                "set A = 2\nset B = 600\n"
+                "def x = id(A) * (cup(A) . copy(B)) * delete(B)\n",
+                "3:18: cell of 864000000 dense bits (824.0 MiB) exceeds "
+                "the limit of 268435456",
+                (3, 18),
+            ),
+        ],
+    )
+    def test_oversized_tensor_refusal_is_unchanged(self, text, message, where):
+        # pinned from the charge of the tensor's built boundaries, the same
+        # number as the product of its operands' dense sizes
+        with pytest.raises(ElaborationError) as info:
+            elaborate(parse(text))
+        assert str(info.value) == message
+        assert (info.value.line, info.value.col) == where
+
+    def test_tensor_charge_matches_the_built_composite(self, monkeypatch):
+        charged = []
+        monkeypatch.setattr(
+            dsl, "_refuse_dense", lambda bits, line, col: charged.append(bits)
+        )
+        env = elaborate(
+            parse("set A = 2\nset B = 3\ndef x = (cup(A) . copy(B)) * delete(A)\n")
+        )
+        x = env.cells["x"]
+        assert charged[-1] == dsl._dense_bits(x.domain, x.codomain)
+
     def test_horizontal_charge_matches_the_built_composite(self, monkeypatch):
         charged = []
         monkeypatch.setattr(
@@ -371,6 +430,25 @@ class TestRoundTrip:
         with open(path, "r", encoding="utf-8") as handle:
             sf = parse(handle.read())
         assert parse(format_source(sf)) == sf
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            f"gen g : A{' * A' * 2999} -> 1 = {{}}",
+            f"builtin g = id(A * (A * A){' * A' * 2999})",
+            f"def x = id(A){' ; id(A)' * 3000}",
+            f"def x = id(A){' . id(A)' * 3000}",
+            f"def x = id(A){' * id(A)' * 3000}",
+            f"def x = id(A){' ; (id(A) . id(A)) * id(A) . id(A)' * 1000}",
+        ],
+        ids=["type", "builtin-type", ";", ".", "*", "mixed"],
+    )
+    def test_long_chains_round_trip(self, body):
+        # the printer walks the left spine of a product or an operator
+        # chain in a loop, as the parser does; the text is printed as it is
+        # written, and the trees are too deep to compare with ==
+        text = f"set A = 1\n{body}\n"
+        assert format_source(parse(text)) == text
 
     def test_corpus_is_large_enough(self):
         assert len(spec_files()) >= 20

@@ -20,6 +20,7 @@ from relcat.relations import (
     relation_code,
 )
 from relcat.search import (
+    CONSTRAINT_NAMES,
     BudgetExceeded,
     SearchSpec,
     SolutionRecord,
@@ -260,6 +261,47 @@ class TestDedup:
         )
         assert [r.triple() for r in records] == oracle
         assert len(records) == GOLDEN_DEDUPED_222
+
+    @pytest.mark.parametrize(
+        "sizes, constraints",
+        [
+            ((1, 2, 3), ("correctness",)),
+            ((2, 2, 3), ("correctness",)),
+            ((3, 3, 1), ("correctness",)),
+            ((1, 2, 3), CONSTRAINT_NAMES),
+            ((2, 2, 3), CONSTRAINT_NAMES),
+            ((3, 3, 1), CONSTRAINT_NAMES),
+            ((2, 3, 2), CONSTRAINT_NAMES),
+            ((1, 2, 3), ("S1", "S3")),
+            ((2, 2, 1), ("S1", "S3")),
+        ],
+        ids=str,
+    )
+    def test_orbit_count_by_burnside(self, sizes, constraints):
+        # counted without `_orbit_triples`, by the oracle's relabeling
+        records = enumerate_solutions(
+            SearchSpec(*sizes, constraints=frozenset(constraints))
+        )
+        triples = [r.triple() for r in records]
+        orbits = oracle_naive.burnside_orbit_count(*sizes, triples)
+        assert len(dedup_records(records)) == orbits
+        if len(triples) < 1000:
+            assert len(oracle_naive.dedup_triples(*sizes, triples)) == orbits
+
+    def test_first_record_of_an_orbit_gives_the_verdicts(self, solutions_222):
+        # each orbit is relabeled once, at its first record; the records
+        # of an orbit met later are skipped, in any order of the input
+        first, *rest = solutions_222
+        marked = SolutionRecord(
+            first.sizes, *first.triple(), {"correctness": True, "marked": True}
+        )
+        kept = dedup_records([marked, *rest])
+        assert [r.canonical for r in kept] == [
+            r.canonical for r in dedup_records(solutions_222[::-1])
+        ]
+        least = min(_orbit(first))
+        for rec in kept:
+            assert ("marked" in rec.verdicts) == (rec.canonical == least)
 
     def test_singleton_identity(self):
         records = enumerate_solutions(SearchSpec(1, 1, 1, dedup=True))
