@@ -35,6 +35,7 @@ from relcat.relations import (
     Rel,
     ShapeError,
     as_finite_set,
+    compose as compose_rel,
     identity as identity_rel,
     product as product_rel,
     product_set,
@@ -344,8 +345,6 @@ def vcompose(a: TwoCell, b: TwoCell) -> TwoCell:
             "vertical composition: codomain of first stage does not match "
             "domain of second"
         )
-    from relcat.relations import compose as compose_rel
-
     components = tuple(
         tuple(
             compose_rel(a.component(t, s), b.component(t, s))

@@ -40,6 +40,7 @@ from relcat.relations import (
     make,
     product_set,
     relation_from_code,
+    swap,
 )
 
 __all__ = [
@@ -237,8 +238,6 @@ def wire_cell(s: FiniteSet | int) -> TwoCell:
 
 def swap_cell(a: FiniteSet | int, b: FiniteSet | int) -> TwoCell:
     """The exchange of two side-by-side scalar cells."""
-    from relcat.relations import swap
-
     return scalar_two_cell(swap(as_finite_set(a), as_finite_set(b)))
 
 

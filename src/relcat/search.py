@@ -40,9 +40,10 @@ x of U is column π(x) of d).  On a correct scheme, with boolean products:
   every key column is, and S4 when every message row of every d is;
 - encryption is invertible exactly when the whole relation is a bijection.
 
-`verify_theorems` and `sample_candidates` decide these on the bit codes.
-Two-cells are built, through `protocols.Verification`, only for a record
-that fails some theorem, to word its counterexamples.
+`verify_theorems` and `sample_candidates` decide these on the bit codes
+and nowhere else.  Two-cells are built, through `protocols.Verification`,
+only to locate a failed decryption inverse, whose place the refused
+rebuild's counterexample names, and to word a failed non-invertibility.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+from relcat import protocols
 from relcat.generators import ControlledOp, cup_from_permutation
 from relcat.relations import (
     FiniteSet,
@@ -148,13 +150,11 @@ class SolutionRecord:
         )
         return e, ds, Permutation(ks, self.pad_mapping)
 
-    def as_instance(self):
-        from relcat.protocols import ProtocolInstance
-
+    def as_instance(self) -> protocols.ProtocolInstance:
         p, k, c = self.sizes
         ps, ks, cs = FiniteSet(p), FiniteSet(k), FiniteSet(c)
         e, ds, perm = self.relations()
-        return ProtocolInstance(
+        return protocols.ProtocolInstance(
             ps,
             ks,
             cs,
@@ -429,46 +429,35 @@ def _check_theorems_on(
     """Returns True when the correct record also satisfies the primary
     security property; appends a description for every violated theorem.
 
-    The theorems are decided on the bit codes (`_BlockSolver.verdicts`).
-    Only a record that fails one is checked again through whole two-cells,
-    which word its counterexamples.
+    Every theorem is decided on the bit codes (`_BlockSolver.verdicts`),
+    and the counterexamples follow those verdicts.  Two-cells are built,
+    once, only for the two texts that `protocols` words: the refused
+    rebuild, which locates where the decryption inverse fails, and a
+    failed non-invertibility.
     """
     holds = solver.verdicts(record)
-    derived = ["S2", "S3", "S4"]
-    if record.sizes[0] > 1:
-        derived.append("encryption_not_invertible")
-    if holds["encryption_rebuilt_from_inverse"] and (
-        not holds["S1"] or all(holds[name] for name in derived)
-    ):
-        return holds["S1"]
-    return _counterexamples_from_cells(record, counterexamples)
-
-
-def _counterexamples_from_cells(
-    record: SolutionRecord, counterexamples: list[str]
-) -> bool:
-    """`_check_theorems_on` through `protocols.Verification`."""
-    from relcat.protocols import Verification
-
-    checks = Verification(record.as_instance())
     label = f"triple {record.triple()}"
-    if not checks.fibers_bijective:
+    refused = not holds["encryption_rebuilt_from_inverse"]
+    # without S1, non-invertibility is refused, not failed
+    invertible = (
+        record.sizes[0] > 1 and holds["S1"]
+        and not holds["encryption_not_invertible"]
+    )
+    if refused or invertible:
+        checks = protocols.Verification(record.as_instance())
+    if not holds["fibers_bijective"]:
         counterexamples.append(f"{label}: decryption fiber not a bijection")
-    rebuilt = checks["encryption_rebuilt_from_inverse"]
-    if rebuilt.refused:
-        counterexamples.append(f"{label}: {rebuilt.witness}")
-    elif not rebuilt.holds:
-        counterexamples.append(f"{label}: encryption not rebuilt from the inverse")
-    report = checks.implications()
-    if not report.implication_holds:
+    if refused:
+        witness = checks["encryption_rebuilt_from_inverse"].witness
+        counterexamples.append(f"{label}: {witness}")
+    if holds["S1"] and not all(holds[name] for name in ("S2", "S3", "S4")):
         counterexamples.append(
             f"{label}: primary security holds but a derived property fails"
         )
-    if record.sizes[0] > 1:
-        verdict = checks["encryption_not_invertible"]
-        if not verdict.holds and not verdict.refused:
-            counterexamples.append(f"{label}: {verdict.witness}")
-    return not report.vacuous
+    if invertible:
+        witness = checks["encryption_not_invertible"].witness
+        counterexamples.append(f"{label}: {witness}")
+    return holds["S1"]
 
 
 def verify_theorems(spec: SearchSpec) -> TheoremReport:
@@ -480,7 +469,8 @@ def verify_theorems(spec: SearchSpec) -> TheoremReport:
     over those also satisfying the primary security property, the other
     three properties hold.  Each is decided per ciphertext block on the bit
     codes, in the forms of the module docstring; two-cells are built only
-    to word the counterexamples of a record that fails one.
+    to locate a failed decryption inverse, and to word a failed
+    non-invertibility.
     """
     base = SearchSpec(*spec.sizes, budget=spec.budget)
     records = enumerate_solutions(base)

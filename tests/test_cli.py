@@ -449,8 +449,11 @@ def test_search_output_is_pinned(capsys, name):
 
 
 # every statement is applied at every size, so unequal sizes fail; stdout
-# written by the commit before theorems were decided on one record
-@pytest.mark.parametrize("sizes, count", [("1,2,1", 36), ("1,2,2", 276)])
+# written by the commit before theorems were decided on one record, and
+# 2,3,1 by the commit before counterexamples were read off the bit codes
+@pytest.mark.parametrize(
+    "sizes, count", [("1,2,1", 36), ("1,2,2", 276), ("2,3,1", 720)]
+)
 def test_theorem_counterexamples_are_pinned(capsys, sizes, count):
     name = f"theorems_{sizes.replace(',', '_')}.json"
     with open(data(os.path.join("golden", name)), "r", encoding="utf-8") as handle:
@@ -483,6 +486,16 @@ def test_passing_theorems_build_no_cells(capsys, monkeypatch, name):
 
     monkeypatch.setattr(protocols, "Verification", refuse)
     test_search_output_is_pinned(capsys, name)
+
+
+@pytest.mark.parametrize("sizes, count", [("1,2,2", 276), ("2,3,1", 720)])
+def test_failing_theorems_build_no_security_cells(capsys, monkeypatch, sizes, count):
+    # S1-S4 are read off the bit codes; cells only locate the failed inverse
+    def refuse(inst, which):
+        raise AssertionError(f"{which} was checked through cells")
+
+    monkeypatch.setattr(protocols, "check_security", refuse)
+    test_theorem_counterexamples_are_pinned(capsys, sizes, count)
 
 
 class TestEnumerate:
