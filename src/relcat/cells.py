@@ -5,7 +5,8 @@ arrow (`OneCell`) from S to T is a (|T| x |S|) matrix of finite sets, and a
 two-level arrow (`TwoCell`) between parallel one-cells is a matrix of
 relations acting fiberwise.  Two-cells compose vertically (fiberwise
 relational composition), horizontally (along a shared 0-cell, by a
-coproduct-of-products formula) and under tensor (Kronecker style).
+coproduct-of-products formula) and under tensor (Kronecker style); both
+build each component once, with `relations._kron`, the kernel of `product`.
 
 Encodings are strict.  Tensor products are mixed-radix with the left factor
 as the high digit.  For horizontal composition, a composite cell keeps the
@@ -25,6 +26,7 @@ described; the algebra itself only ever needs fiber sizes and paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -34,10 +36,12 @@ from relcat.relations import (
     FiniteSet,
     Rel,
     ShapeError,
+    _factors,
+    _kron,
+    _materialise,
     as_finite_set,
     compose as compose_rel,
     identity as identity_rel,
-    product as product_rel,
     product_set,
 )
 
@@ -331,11 +335,11 @@ def scalar_two_cell(rel: Rel) -> TwoCell:
 
 
 def identity_two_cell(a: OneCell) -> TwoCell:
-    components = tuple(
-        tuple(identity_rel(a.fiber(t, s)) for s in range(a.src.size))
-        for t in range(a.dst.size)
-    )
-    return TwoCell(a, a, components)
+    """One identity relation per fiber size, or per fiber where `a` holds
+    its fibers; the fibers of a composite are not made."""
+    fibers = a._fibers if isinstance(a._fibers, tuple) else a.sizes.tolist()
+    shared = {f: identity_rel(f) for f in set().union(*fibers)}
+    return TwoCell(a, a, tuple(tuple(shared[f] for f in row) for row in fibers))
 
 
 def vcompose(a: TwoCell, b: TwoCell) -> TwoCell:
@@ -398,22 +402,25 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     domain = hcompose_one(alpha.domain, beta.domain)
     codomain = hcompose_one(alpha.codomain, beta.codomain)
     mid = alpha.domain.dst.size
+    doms, cods = domain.sizes.tolist(), codomain.sizes.tolist()
+    sets = {n: FiniteSet(n) for n in set().union(*doms, *cods)}
 
     def component(u: int, s: int) -> Rel:
-        dom, cod = int(domain.sizes[u, s]), int(codomain.sizes[u, s])
+        dom, cod = doms[u][s], cods[u][s]
         if mid == 1:
-            block = product_rel(beta.component(u, 0), alpha.component(0, s))
-            return block.retyped(dom, cod)
+            return _kron(
+                beta.component(u, 0), alpha.component(0, s), sets[dom], sets[cod]
+            )
         bits = np.zeros((cod, dom), dtype=bool)
         if bits.size:
             ins, cols = _groups(_junctions(alpha.domain, beta.domain, u, s))
             outs, rows = _groups(_junctions(alpha.codomain, beta.codomain, u, s))
             for t in rows.keys() & cols.keys():
-                bits[np.ix_(outs[rows[t]], ins[cols[t]])] = product_rel(
-                    beta.component(u, t), alpha.component(t, s)
-                ).bits
+                bits[np.ix_(outs[rows[t]], ins[cols[t]])] = _materialise(
+                    _factors(beta.component(u, t)) + _factors(alpha.component(t, s))
+                )
         bits.setflags(write=False)
-        return Rel(dom, cod, bits)
+        return Rel(sets[dom], sets[cod], bits)
 
     components = tuple(
         tuple(component(u, s) for s in range(domain.src.size))
@@ -485,20 +492,19 @@ def tensor(a: TwoCell, b: TwoCell) -> TwoCell:
         return a
     if _is_unit_two_cell(a):
         return b
+    domain = tensor_one(a.domain, b.domain)
+    codomain = tensor_one(a.codomain, b.codomain)
+    # each component runs between the product fibers tensor_one made
     components = tuple(
         tuple(
-            product_rel(a.component(t, s), b.component(tp, sp))
-            for s in range(a.domain.src.size)
-            for sp in range(b.domain.src.size)
+            _kron(x, y, domain.fiber(i, j), codomain.fiber(i, j))
+            for j, (x, y) in enumerate(itertools.product(row_a, row_b))
         )
-        for t in range(a.domain.dst.size)
-        for tp in range(b.domain.dst.size)
+        for i, (row_a, row_b) in enumerate(
+            itertools.product(a.components, b.components)
+        )
     )
-    return TwoCell(
-        tensor_one(a.domain, b.domain),
-        tensor_one(a.codomain, b.codomain),
-        components,
-    )
+    return TwoCell(domain, codomain, components)
 
 
 def tensor_many(first: TwoCell, *rest: TwoCell) -> TwoCell:

@@ -16,7 +16,7 @@ reads its preconditions from the same record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from relcat import relations
 from relcat.cells import (
@@ -539,15 +539,17 @@ class Verification:
     evaluated: its verdict is `refused`, and the witness is the text of the
     `PreconditionError` that its public function raises.  The record keeps
     verdicts and the derived inverse cell, never the sides of an equation.
+    ``given`` names checks the caller already knows to hold, such as the
+    search's correctness; they are recorded as holding, never decided.
     """
 
-    def __init__(self, inst: ProtocolInstance):
+    def __init__(self, inst: ProtocolInstance, given: Iterable[str] = ()):
         self.inst = inst
         self.inverse: Optional[TwoCell] = None
         self.fibers_bijective = all(
             predicates(f).is_bijection for f in inst.decrypt.family
         )
-        self._verdicts: dict[str, EquationVerdict] = {}
+        self._verdicts = {name: EquationVerdict(name, True) for name in given}
 
     def __getitem__(self, name: str) -> EquationVerdict:
         if name not in self._verdicts:

@@ -1,7 +1,8 @@
 """Finite sets and binary relations stored as boolean matrices.
 
 This is the scalar layer of the whole library: every higher construction
-eventually bottoms out in `compose`, `converse` and `product` on `Rel`.
+eventually bottoms out in `compose`, `converse` and `_kron`, the one
+Kronecker kernel, which `product` and the cell layer call.
 
 A relation is a dense boolean matrix, with one exception: a `product`
 whose dense form would have more than `_BOOL_MATMUL_MAX_WORK` cells keeps
@@ -411,15 +412,19 @@ def _is_unit(r: Rel) -> bool:
 
 
 def product(r: Rel, s: Rel) -> Rel:
-    """Pairwise product: ``((a,c),(b,d))`` holds iff ``(a,b)`` and ``(c,d)`` do.
+    """Pairwise product: ``((a,c),(b,d))`` holds iff ``(a,b)`` and ``(c,d)`` do,
+    between the product sets, mixed-radix with the left factor high."""
+    return _kron(r, s, product_set(r.src, s.src), product_set(r.dst, s.dst))
 
-    Index encoding is mixed-radix with the left factor as the high digit.
+
+def _kron(r: Rel, s: Rel, src: FiniteSet, dst: FiniteSet) -> Rel:
+    """``r (x) s``, left factor high, between sets the caller holds.
+
     A factor that is the full relation on one element is a unit: the other
     factor is retyped, sharing its bits or its factors.  Otherwise the
     factor lists of ``r`` and ``s`` are joined; a result of more than
     `_BOOL_MATMUL_MAX_WORK` cells keeps that list, a smaller one is built.
     """
-    src, dst = product_set(r.src, s.src), product_set(r.dst, s.dst)
     if _is_unit(r):
         return s.retyped(src, dst)
     if _is_unit(s):

@@ -38,12 +38,13 @@ x of U is column π(x) of d).  On a correct scheme, with boolean products:
   rebuild is refused otherwise;
 - S1 and S2 hold when every message row of every E is nonempty, S3 when
   every key column is, and S4 when every message row of every d is;
-- encryption is invertible exactly when the whole relation is a bijection.
+- encryption is invertible exactly when the whole relation is a bijection,
+  which S1 rules out when p > 1: a message reaches k < p·k ciphertexts.
 
 `verify_theorems` and `sample_candidates` decide these on the bit codes
 and nowhere else.  Two-cells are built, through `protocols.Verification`,
 only to locate a failed decryption inverse, whose place the refused
-rebuild's counterexample names, and to word a failed non-invertibility.
+rebuild's counterexample names; it is handed the record's correctness.
 """
 
 from __future__ import annotations
@@ -431,32 +432,22 @@ def _check_theorems_on(
 
     Every theorem is decided on the bit codes (`_BlockSolver.verdicts`),
     and the counterexamples follow those verdicts.  Two-cells are built,
-    once, only for the two texts that `protocols` words: the refused
-    rebuild, which locates where the decryption inverse fails, and a
-    failed non-invertibility.
+    given the record's correctness, only to locate a failed decryption
+    inverse.  Non-invertibility fails only at p = 1, which is exempt, or
+    without S1, where it is refused (module docstring).
     """
     holds = solver.verdicts(record)
     label = f"triple {record.triple()}"
-    refused = not holds["encryption_rebuilt_from_inverse"]
-    # without S1, non-invertibility is refused, not failed
-    invertible = (
-        record.sizes[0] > 1 and holds["S1"]
-        and not holds["encryption_not_invertible"]
-    )
-    if refused or invertible:
-        checks = protocols.Verification(record.as_instance())
     if not holds["fibers_bijective"]:
         counterexamples.append(f"{label}: decryption fiber not a bijection")
-    if refused:
+    if not holds["encryption_rebuilt_from_inverse"]:
+        checks = protocols.Verification(record.as_instance(), given=("correctness",))
         witness = checks["encryption_rebuilt_from_inverse"].witness
         counterexamples.append(f"{label}: {witness}")
     if holds["S1"] and not all(holds[name] for name in ("S2", "S3", "S4")):
         counterexamples.append(
             f"{label}: primary security holds but a derived property fails"
         )
-    if invertible:
-        witness = checks["encryption_not_invertible"].witness
-        counterexamples.append(f"{label}: {witness}")
     return holds["S1"]
 
 
@@ -469,8 +460,7 @@ def verify_theorems(spec: SearchSpec) -> TheoremReport:
     over those also satisfying the primary security property, the other
     three properties hold.  Each is decided per ciphertext block on the bit
     codes, in the forms of the module docstring; two-cells are built only
-    to locate a failed decryption inverse, and to word a failed
-    non-invertibility.
+    to locate a failed decryption inverse.
     """
     base = SearchSpec(*spec.sizes, budget=spec.budget)
     records = enumerate_solutions(base)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracle_laws import converse_two_cell
+from relcat import cells, protocols, relations
 from relcat.cells import (
     OneCell,
     TwoCell,
@@ -16,6 +17,7 @@ from relcat.cells import (
     tensor_one,
     vcompose,
 )
+from relcat.generators import canonical_cup, cup_cell, region_structure
 from relcat.relations import (
     FiniteSet,
     Rel,
@@ -264,3 +266,94 @@ class TestEqual:
         b = builder.two_cell(FiniteSet(2), FiniteSet(1))
         res = equal(a, b)
         assert not res.equal and res.difference.kind == "shape"
+
+
+class TestOneKroneckerKernel:
+    """Components are made by `relations._kron` between sets already held."""
+
+    def test_identity_on_a_composite_is_each_fibers_identity(self, builder):
+        for _ in range(30):
+            s, t, u = (builder.finite_set(1) for _ in range(3))
+            a = hcompose_one(builder.one_cell(s, t), builder.one_cell(t, u))
+            ident = identity_two_cell(a)
+            assert not a._fibers  # no fiber of the composite was made
+            shared = {}
+            for uu in range(u.size):
+                for ss in range(s.size):
+                    got = ident.component(uu, ss)
+                    assert got == identity(a.fiber(uu, ss))
+                    assert shared.setdefault(got.src.size, got) is got
+
+    @staticmethod
+    def _labelled_pair():
+        # two parallel scalar cells on a labelled fiber that differ in one
+        # pair, whose components run between unlabelled sets
+        a = scalar_one_cell(FiniteSet(2, ["a0", "a1"]))
+        x = TwoCell(a, a, ((Rel(2, 2, np.eye(2, dtype=bool)),),))
+        y = TwoCell(a, a, ((Rel(2, 2, np.array([[1, 0], [1, 1]], bool)),),))
+        return x, y
+
+    def test_tensored_difference_keeps_the_fiber_labels(self):
+        x, y = self._labelled_pair()
+        wire = identity_two_cell(scalar_one_cell(FiniteSet(3, ["b0", "b1", "b2"])))
+        lhs, rhs = tensor(wire, x), tensor(wire, y)
+        diff = equal(lhs, rhs).difference
+        assert (diff.col_label, diff.row_label) == ("(b0,a0)", "(b0,a1)")
+        assert lhs.component(0, 0).src is lhs.domain.fiber(0, 0)
+
+    def test_whiskered_difference_keeps_the_fiber_labels(self):
+        x, y = self._labelled_pair()
+        rs = region_structure(FiniteSet(2, ["s0", "s1"]))
+        lhs, rhs = protocols._in_zone(rs, x), protocols._in_zone(rs, y)
+        diff = equal(lhs, rhs).difference
+        assert (diff.t, diff.s) == (0, 0)
+        assert (diff.col_label, diff.row_label) == ("a0", "a1")
+        assert lhs.component(0, 0).src.labels is None
+
+    def test_components_make_no_product_sets(self, builder, monkeypatch):
+        calls = []
+        real = relations.product_set
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(relations, "product_set", counted)
+        monkeypatch.setattr(cells, "product_set", counted)
+        for _ in range(30):
+            s, t, u = (builder.finite_set(1) for _ in range(3))
+            alpha, beta = builder.two_cell(s, t), builder.two_cell(t, u)
+            calls.clear()
+            hcompose_two(alpha, beta)
+            assert calls == []
+            a, b = builder.two_cell(s, t), builder.two_cell(t, u)
+            calls.clear()
+            tensor_one(a.domain, b.domain)
+            tensor_one(a.codomain, b.codomain)
+            boundaries = len(calls)
+            calls.clear()
+            tensor(a, b)
+            assert len(calls) == boundaries  # one per fiber, none per component
+
+    def test_zone_whisker_makes_one_set_per_fiber_size(self, monkeypatch):
+        # the first step of a key exchange at q = 7, whiskered as it is there
+        rs = region_structure(7)
+        pad = cup_cell(canonical_cup(6))
+        step = tensor(pad, pad)
+        inner = hcompose_two(identity_two_cell(rs.boundary_right), step)
+        made = []
+        init = FiniteSet.__init__
+
+        def counted(self, size, labels=None):
+            made.append(size)
+            init(self, size, labels)
+
+        monkeypatch.setattr(FiniteSet, "__init__", counted)
+        out = protocols._in_zone(rs, step)
+        monkeypatch.undo()
+
+        def sizes(cell):
+            return {*cell.domain.sizes.flat, *cell.codomain.sizes.flat}
+
+        assert out.domain.sizes.size == 49
+        assert len(made) <= len(sizes(inner)) + len(sizes(out)) == 4

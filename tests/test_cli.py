@@ -362,6 +362,20 @@ class TestVerifyOtp:
         assert capsys.readouterr().out == want
         assert code == (0 if json.loads(want)["status"] == "pass" else 1)
 
+    # stdout of passing groups, written by the commit before two-cell
+    # components were built by the one Kronecker kernel
+    @pytest.mark.parametrize(
+        "order, form",
+        [(1, "json"), (2, "json"), (5, "json"), (10, "json"), (2, "human")],
+    )
+    def test_group_output_is_pinned(self, capsys, order, form):
+        suffix = "json" if form == "json" else "txt"
+        golden = data(os.path.join("golden", f"verify_otp_group_{order}.{suffix}"))
+        with open(golden, "r", encoding="utf-8") as handle:
+            want = handle.read()
+        assert main(["verify-otp", "--group", str(order), "--format", form]) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestVerifyDh:
     def test_prime_five(self, capsys):
@@ -495,6 +509,16 @@ def test_failing_theorems_build_no_security_cells(capsys, monkeypatch, sizes, co
         raise AssertionError(f"{which} was checked through cells")
 
     monkeypatch.setattr(protocols, "check_security", refuse)
+    test_theorem_counterexamples_are_pinned(capsys, sizes, count)
+
+
+@pytest.mark.parametrize("sizes, count", [("1,2,2", 276), ("2,3,1", 720)])
+def test_failing_theorems_build_no_correctness_cells(capsys, monkeypatch, sizes, count):
+    # every record is correct by construction; cells never decide it again
+    def refuse(inst):
+        raise AssertionError("correctness was checked through cells")
+
+    monkeypatch.setattr(protocols, "check_correctness", refuse)
     test_theorem_counterexamples_are_pinned(capsys, sizes, count)
 
 

@@ -386,6 +386,50 @@ class TestFactoredProduct:
             identity(3).retyped(3, 2)
 
 
+class TestKron:
+    """`relations._kron`, the one Kronecker kernel, against `product`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        limit=st.sampled_from([0, 64, relations._BOOL_MATMUL_MAX_WORK]),
+        data=st.data(),
+    )
+    def test_equals_product_in_bits_and_route(self, limit, data):
+        # operands dense, factored (under a low limit), unit or empty
+        with mock.patch.object(relations, "_BOOL_MATMUL_MAX_WORK", limit):
+            (r, want_r), (s, want_s) = (data.draw(kronecker_trees(1)) for _ in "rs")
+            src = FiniteSet(r.src.size * s.src.size)
+            dst = FiniteSet(r.dst.size * s.dst.size)
+            got, want = relations._kron(r, s, src, dst), product(r, s)
+        assert got.src is src and got.dst is dst
+        factored = type(got) is relations._FactoredRel
+        event(f"factored={factored} r={type(r).__name__} s={type(s).__name__}")
+        assert factored == (type(want) is relations._FactoredRel)
+        # beside a unit, the other operand is shared as it is
+        other = next(
+            (other for one, other in ((r, s), (s, r)) if relations._is_unit(one)),
+            None,
+        )
+        if other is None:
+            assert factored == (src.size * dst.size > limit)
+            if factored:
+                assert got.kron.factors == relations._factors(r) + relations._factors(s)
+        elif type(other) is relations._FactoredRel:
+            assert got.kron is other.kron
+        else:
+            assert got.bits is other.bits
+        assert np.array_equal(got.bits, want.bits)
+        assert np.array_equal(got.bits, np.kron(want_r, want_s).astype(bool))
+
+    @pytest.mark.parametrize("a, b, factored", [(8, 8, False), (64, 2, True)])
+    def test_factored_above_the_dense_limit(self, a, b, factored):
+        # 64 x 64 is exactly the limit of 4096 cells; 128 x 128 is above it
+        assert relations._BOOL_MATMUL_MAX_WORK == 4096
+        got = relations._kron(identity(a), identity(b), FiniteSet(a * b), FiniteSet(a * b))
+        assert (type(got) is relations._FactoredRel) == factored
+        assert got == identity(a * b)
+
+
 class TestKernel:
     def test_empty_relation_keeps_everything(self):
         k = kernel(empty(3, 2))

@@ -6,6 +6,7 @@ import pytest
 import oracle_naive
 import oracle_snake
 from oracle_laws import all_permutations, all_relations
+from relcat import search
 from relcat.generators import cup_from_permutation
 from relcat.protocols import (
     check_correctness,
@@ -16,11 +17,13 @@ from relcat.relations import (
     FiniteSet,
     Permutation,
     Rel,
+    predicates,
     product_set,
     relation_code,
 )
 from relcat.search import (
     CONSTRAINT_NAMES,
+    DEFAULT_BUDGET,
     BudgetExceeded,
     SearchSpec,
     SolutionRecord,
@@ -413,6 +416,49 @@ class TestTheorems:
         assert report.solutions == GOLDEN_CORRECT_222 and calls == []
         report = verify_theorems(SearchSpec(1, 2, 2))
         assert report.solutions == 98 and not report.passed and calls == []
+
+    @staticmethod
+    def _assert_no_invertible_encryption_under_s1(records) -> int:
+        # S1 read off the encryption relation: every message reaches every
+        # ciphertext under some key.  A bijection lets a message reach only
+        # k of the p·k ciphertexts, so with p > 1 the two never meet, and
+        # the non-invertibility theorem has no counterexample to write
+        with_s1 = 0
+        for record in records:
+            p, k, c = record.sizes
+            e = record.relations()[0]
+            s1 = bool(e.bits.reshape(c, p, k).any(axis=2).all())
+            assert not (s1 and predicates(e).is_bijection), record.triple()
+            with_s1 += s1
+        return with_s1
+
+    def test_no_encryption_under_s1_is_invertible(self):
+        with_s1 = 0
+        for sizes in itertools.product((2, 3), (1, 2, 3), (1, 2, 3)):
+            spec = SearchSpec(*sizes)
+            if candidate_count(spec) <= DEFAULT_BUDGET:
+                with_s1 += self._assert_no_invertible_encryption_under_s1(
+                    enumerate_solutions(spec)
+                )
+        assert with_s1 > 0
+
+    @pytest.mark.parametrize(
+        "sizes, seed", [((3, 3, 3), 1), ((2, 4, 4), 3)], ids=["3,3,3", "2,4,4"]
+    )
+    def test_no_sampled_encryption_under_s1_is_invertible(
+        self, monkeypatch, sizes, seed
+    ):
+        records = []
+        check = search._check_theorems_on
+
+        def kept(record, solver, counterexamples):
+            records.append(record)
+            return check(record, solver, counterexamples)
+
+        monkeypatch.setattr(search, "_check_theorems_on", kept)
+        report = sample_candidates(sizes, 2000, seed=seed)
+        assert len(records) == report.solutions > 0
+        assert self._assert_no_invertible_encryption_under_s1(records) > 0
 
     def test_sampled_fallback(self):
         report = sample_candidates((3, 3, 3), 4000, seed=11)
