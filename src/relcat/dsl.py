@@ -32,17 +32,21 @@ create_region, publish, sample`` take a type argument;
 ``controlled(S, A -> B, {v: reldata, ...})`` takes one relation block per
 public value.
 
+A chain of one operator is one syntax node holding its operands in a
+tuple, and a product type one node holding its factors, so the parser,
+`evaluate` and the printer each read a chain of any length in one loop;
+only parentheses nest.  A parenthesised first operand of the same operator
+is spliced in, so ``(a ; b) ; c`` and ``a ; b ; c`` are the same tree.
 `elaborate` builds each cell once, at its statement: `evaluate` types a
 composite from its operands' cells and refuses it by its dense size before
-building it.  It walks the left spine of an operator chain in a loop, as
-the printer does, and product types are flattened off an explicit stack,
-so only parentheses nest.  A check compares two built cells by name.
+building it.  A check compares two built cells by name.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import mul
 from typing import NamedTuple, Optional, Union
 
@@ -177,8 +181,8 @@ class TypeName(TypeExpr):
 
 @dataclass(frozen=True)
 class TypeProd(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
+    # two or more, the first never a product itself
+    factors: tuple[TypeExpr, ...]
 
 
 Elem = Union[int, str]
@@ -207,22 +211,15 @@ class BuiltinCall(Term):
     col: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class SeqTerm(Term):
-    first: Term
-    second: Term
+# Term operators from the loosest to the tightest binding.
+_TERM_OPS = (";", ".", "*")
 
 
 @dataclass(frozen=True)
-class HorizTerm(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class ParTerm(Term):
-    left: Term
-    right: Term
+class Chain(Term):
+    op: str  # one of _TERM_OPS
+    # two or more, left to right; the first is never a chain of `op`
+    operands: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
@@ -388,11 +385,15 @@ class _Parser:
         return CheckDecl(lhs, rhs, start.line, start.col)
 
     def parse_type(self) -> TypeExpr:
-        left = self.parse_type_atom()
+        factors = [self.parse_type_atom()]
         while self.at_punct("*"):
             self.next()
-            left = TypeProd(left, self.parse_type_atom())
-        return left
+            factors.append(self.parse_type_atom())
+        if len(factors) == 1:
+            return factors[0]
+        if isinstance(factors[0], TypeProd):  # parenthesised
+            factors[:1] = factors[0].factors
+        return TypeProd(tuple(factors))
 
     def parse_type_atom(self) -> TypeExpr:
         tok = self.peek()
@@ -491,27 +492,20 @@ class _Parser:
         self.expect("PUNCT", ":")
         return (key, self.parse_reldata())
 
-    # term precedence: * > . > ; (all left-associative)
-    def parse_term(self) -> Term:
-        left = self.parse_horiz()
-        while self.at_punct(";"):
+    def parse_term(self, level: int = 0) -> Term:
+        """A chain of `_TERM_OPS[level]`, or its only operand.  An operand
+        is a term of the next level, or an atom at the last level."""
+        op, last = _TERM_OPS[level], level + 1 == len(_TERM_OPS)
+        operands = [self.parse_atom() if last else self.parse_term(level + 1)]
+        while self.at_punct(op):
             self.next()
-            left = SeqTerm(left, self.parse_horiz())
-        return left
-
-    def parse_horiz(self) -> Term:
-        left = self.parse_par()
-        while self.at_punct("."):
-            self.next()
-            left = HorizTerm(left, self.parse_par())
-        return left
-
-    def parse_par(self) -> Term:
-        left = self.parse_atom()
-        while self.at_punct("*"):
-            self.next()
-            left = ParTerm(left, self.parse_atom())
-        return left
+            operands.append(self.parse_atom() if last else self.parse_term(level + 1))
+        if len(operands) == 1:
+            return operands[0]
+        first = operands[0]
+        if isinstance(first, Chain) and first.op == op:  # parenthesised
+            operands[:1] = first.operands
+        return Chain(op, tuple(operands))
 
     def parse_atom(self) -> Term:
         tok = self.peek()
@@ -615,36 +609,26 @@ class Env:
 
 
 def _flatten_type(env: Env, t: TypeExpr) -> list[FiniteSet]:
-    """The factors of a type, left to right, taken off an explicit stack,
-    so that a product of any length or nesting does not recurse."""
-    factors, todo = [], [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, TypeProd):
-            todo += (t.right, t.left)
-        elif isinstance(t, TypeName):
-            if t.name not in env.sets:
-                raise ElaborationError(f"unknown set {t.name!r}", t.line, t.col)
-            factors.append(env.sets[t.name])
-        elif not isinstance(t, TypeUnit):
-            raise AssertionError(t)
+    """The factors of a type, left to right; the unit type has none."""
+    if isinstance(t, TypeName):
+        if t.name not in env.sets:
+            raise ElaborationError(f"unknown set {t.name!r}", t.line, t.col)
+        return [env.sets[t.name]]
+    if isinstance(t, TypeUnit):
+        return []
+    factors = []
+    for factor in t.factors:
+        factors += _flatten_type(env, factor)
     return factors
 
 
-def _type_fiber(env: Env, t: TypeExpr) -> FiniteSet:
-    factors = _flatten_type(env, t)
-    if not factors:
-        return FiniteSet(1)
-    fiber = factors[0]
-    for f in factors[1:]:
-        fiber = product_set(fiber, f)
-    return fiber
+def _fiber(factors: list[FiniteSet]) -> FiniteSet:
+    """The elements of a type with these factors, the left one high."""
+    return reduce(product_set, factors) if factors else FiniteSet(1)
 
 
-def _type_one_cell(env: Env, t: TypeExpr) -> OneCell:
-    if not _flatten_type(env, t):
-        return identity_one_cell(FiniteSet(1))
-    return scalar_one_cell(_type_fiber(env, t))
+def _type_one_cell(factors: list[FiniteSet], fiber: FiniteSet) -> OneCell:
+    return scalar_one_cell(fiber) if factors else identity_one_cell(fiber)
 
 
 def _resolve_elem(env: Env, factor: FiniteSet, elem: Elem, where) -> int:
@@ -686,21 +670,16 @@ def _encode_tuple(
 
 def _build_rel(
     env: Env,
-    dom: TypeExpr,
-    cod: TypeExpr,
+    dom: list[FiniteSet],
+    cod: list[FiniteSet],
     data: RelData,
     where,
 ) -> Rel:
-    dom_factors = _flatten_type(env, dom)
-    cod_factors = _flatten_type(env, cod)
-    src = _type_fiber(env, dom)
-    dst = _type_fiber(env, cod)
+    """The relation `data` between types with these factors."""
+    src, dst = _fiber(dom), _fiber(cod)
     _refuse_dense(src.size * dst.size, where.line, where.col)
     pairs = [
-        (
-            _encode_tuple(env, dom_factors, a, where),
-            _encode_tuple(env, cod_factors, b, where),
-        )
+        (_encode_tuple(env, dom, a, where), _encode_tuple(env, cod, b, where))
         for a, b in data
     ]
     return make(src, dst, pairs)
@@ -712,11 +691,9 @@ def _builtin_binding(
     """The cell of a builtin call, with its relation blocks if it is a
     controlled cell."""
     op = call.op
+    factors = [_flatten_type(env, t) for t in call.type_args]
     if op == "controlled":
-        public_t, dom_t, cod_t = call.type_args
-        public = _type_fiber(env, public_t)
-        in_set = _type_fiber(env, dom_t)
-        out_set = _type_fiber(env, cod_t)
+        public, in_set, out_set = map(_fiber, factors)
         n = public.size
         _refuse_dense(
             max(n**_REGION_BITS_EXPONENT, n * n * in_set.size * out_set.size),
@@ -730,7 +707,7 @@ def _builtin_binding(
                 raise ElaborationError(
                     f"public value {key!r} given twice", call.line, call.col
                 )
-            by_value[v] = _build_rel(env, dom_t, cod_t, data, call)
+            by_value[v] = _build_rel(env, factors[1], factors[2], data, call)
         missing = [v for v in range(public.size) if v not in by_value]
         if missing:
             raise ElaborationError(
@@ -743,15 +720,14 @@ def _builtin_binding(
             public, in_set, out_set, tuple(by_value[v] for v in range(public.size))
         )
         return controlled_scalar(op_data), op_data
-    arg = call.type_args[0]
-    fiber = _type_fiber(env, arg)
+    fiber = _fiber(factors[0])
     _refuse_dense(
         fiber.size ** _BUILTIN_BITS_EXPONENT.get(op, _REGION_BITS_EXPONENT),
         call.line,
         call.col,
     )
     if op == "id":
-        cell = identity_two_cell(_type_one_cell(env, arg))
+        cell = identity_two_cell(_type_one_cell(factors[0], fiber))
     elif op == "cup":
         cell = cup_cell(canonical_cup(fiber))
     elif op == "cap":
@@ -805,44 +781,40 @@ def _hcompose_bits(first: TwoCell, second: TwoCell) -> int:
 def evaluate(env: Env, term: Term) -> TwoCell:
     """The cell a term denotes.
 
-    The left spine of an operator chain is walked in a loop, so a long
-    chain does not nest; only right operands recurse.  Operands are
-    evaluated left to right, and each node is charged by its dense size
-    before its composite is built.
+    A chain's operands are evaluated left to right in one loop.  Each step
+    is charged by its dense size before its composite is built, and the
+    charge is located at the chain's first leaf.
     """
-    spine = []
-    while isinstance(term, (SeqTerm, HorizTerm, ParTerm)):
-        spine.append(term)
-        term = term.first if isinstance(term, SeqTerm) else term.left
     if isinstance(term, NameTerm):
         if term.name not in env.cells:
             raise ElaborationError(
                 f"unknown cell {term.name!r}", term.line, term.col
             )
-        cell = env.cells[term.name]
-    elif isinstance(term, BuiltinCall):
-        cell = _builtin_binding(env, term)[0]
-    else:
+        return env.cells[term.name]
+    if isinstance(term, BuiltinCall):
+        return _builtin_binding(env, term)[0]
+    if not isinstance(term, Chain):
         raise AssertionError(term)
-    where = (term.line, term.col)  # every node of the spine starts here
-    for node in reversed(spine):
-        if isinstance(node, SeqTerm):
-            first, second = cell, evaluate(env, node.second)
+    cell = evaluate(env, term.operands[0])
+    where = _term_pos(term)
+    for operand in term.operands[1:]:
+        if term.op == ";":
+            first, second = cell, evaluate(env, operand)
             if first.codomain.fiber_sizes() != second.domain.fiber_sizes():
                 raise ElaborationError(
                     f"cannot compose in sequence: first stage produces a "
                     f"{_describe(first.codomain)}, second consumes a "
                     f"{_describe(second.domain)}",
-                    *_term_pos(node.second),
+                    *_term_pos(operand),
                 )
             bits, compose = _dense_bits(first.domain, second.codomain), vcompose
-        elif isinstance(node, HorizTerm):
+        elif term.op == ".":
             # the right operand is applied first
-            second, first = cell, evaluate(env, node.right)
+            second, first = cell, evaluate(env, operand)
             bits, compose = _hcompose_bits(first, second), hcompose_two
         else:
             # each component of a tensor is a product of one from each side
-            first, second = cell, evaluate(env, node.right)
+            first, second = cell, evaluate(env, operand)
             sizes = [_dense_bits(x.domain, x.codomain) for x in (first, second)]
             bits, compose = sizes[0] * sizes[1], tensor
         _refuse_dense(bits, *where)
@@ -851,8 +823,9 @@ def evaluate(env: Env, term: Term) -> TwoCell:
 
 
 def _term_pos(term: Term) -> tuple[int, int]:
-    while isinstance(term, (SeqTerm, HorizTerm, ParTerm)):
-        term = term.first if isinstance(term, SeqTerm) else term.left
+    """Where a term starts: at its first leaf."""
+    while isinstance(term, Chain):
+        term = term.operands[0]
     return (term.line, term.col)
 
 
@@ -870,10 +843,11 @@ def elaborate(sf: SourceFile) -> Env:
                 ) from None
         elif isinstance(stmt, GenDecl):
             _declare(env, stmt.name, stmt)
-            rel = _build_rel(env, stmt.dom, stmt.cod, stmt.data, stmt)
+            dom, cod = _flatten_type(env, stmt.dom), _flatten_type(env, stmt.cod)
+            rel = _build_rel(env, dom, cod, stmt.data, stmt)
             env.cells[stmt.name] = TwoCell(
-                _type_one_cell(env, stmt.dom),
-                _type_one_cell(env, stmt.cod),
+                _type_one_cell(dom, rel.src),
+                _type_one_cell(cod, rel.dst),
                 ((rel,),),
             )
         elif isinstance(stmt, BuiltinDecl):
@@ -987,14 +961,18 @@ def run_source(text: str) -> SourceReport:
 
 
 def _format_type(t: TypeExpr, nested: bool = False) -> str:
-    """A type's source text; the left spine of a product is walked in a
-    loop, and only right operands, parenthesised when products, recurse."""
-    rights = []
-    while isinstance(t, TypeProd):
-        rights.append(_format_type(t.right, nested=True))
-        t = t.left
-    text = " * ".join(["1" if isinstance(t, TypeUnit) else t.name, *reversed(rights)])
-    return f"({text})" if nested and rights else text
+    """A type's source text, in parentheses if it is a product nested in
+    one.  Factors are printed in a plain loop, not a generator, so that a
+    parenthesis costs the printer fewer frames than the parser."""
+    if isinstance(t, TypeUnit):
+        return "1"
+    if isinstance(t, TypeName):
+        return t.name
+    parts = []
+    for factor in t.factors:
+        parts.append(_format_type(factor, nested=True))
+    text = " * ".join(parts)
+    return f"({text})" if nested else text
 
 
 def _format_elem(e: Elem) -> str:
@@ -1030,31 +1008,20 @@ def _format_call(call: BuiltinCall) -> str:
     return f"{call.op}({_format_type(call.type_args[0])})"
 
 
-_PREC = {SeqTerm: 1, HorizTerm: 2, ParTerm: 3}
-_OPS = {SeqTerm: ";", HorizTerm: ".", ParTerm: "*"}
-
-
 def _format_term(term: Term, parent: int = 0) -> str:
-    """A term's source text, parenthesised where it binds looser than
-    `parent`.  The left spine is walked in a loop while no parentheses are
-    needed; only right operands and parenthesised left operands recurse."""
-    tail = []
-    while type(term) in _PREC and _PREC[type(term)] >= parent:
-        parent = _PREC[type(term)]
-        left, right = (
-            (term.first, term.second)
-            if isinstance(term, SeqTerm)
-            else (term.left, term.right)
-        )
-        tail.append(f" {_OPS[type(term)]} {_format_term(right, parent + 1)}")
-        term = left
+    """A term's source text, in parentheses if its operator comes before
+    `_TERM_OPS[parent]`, binding looser.  A chain's first operand may bind
+    as loosely as the chain, and the others must bind tighter."""
     if isinstance(term, NameTerm):
-        head = term.name
-    elif isinstance(term, BuiltinCall):
-        head = _format_call(term)
-    else:
-        head = f"({_format_term(term)})"
-    return head + "".join(reversed(tail))
+        return term.name
+    if isinstance(term, BuiltinCall):
+        return _format_call(term)
+    level = _TERM_OPS.index(term.op)
+    parts = []
+    for i, operand in enumerate(term.operands):
+        parts.append(_format_term(operand, level + (i > 0)))
+    text = f" {term.op} ".join(parts)
+    return text if level >= parent else f"({text})"
 
 
 def format_source(sf: SourceFile) -> str:

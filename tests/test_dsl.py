@@ -1,4 +1,5 @@
 import glob
+import json
 import os
 
 import pytest
@@ -60,11 +61,13 @@ class TestParser:
                    "gen E : P * K -> C = {}\n"
                    "builtin D = controlled(C, K -> P, {0: {}, 1: {}})\n"
                    "def lhs = (E * id(K)) ; D\n")
-        from relcat.dsl import ParTerm, SeqTerm
+        from relcat.dsl import Chain, NameTerm
 
         term = sf.statements[-1].term
-        assert isinstance(term, SeqTerm)
-        assert isinstance(term.first, ParTerm)
+        assert isinstance(term, Chain) and term.op == ";"
+        first, second = term.operands
+        assert isinstance(first, Chain) and first.op == "*"
+        assert second == NameTerm("D")
 
     def test_malformed_def_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -78,11 +81,11 @@ class TestParser:
 
     def test_precedence(self):
         sf = parse("set A = 2\ndef x = id(A) * id(A) ; id(A * A) . id(1)\n")
-        from relcat.dsl import HorizTerm, SeqTerm
+        from relcat.dsl import Chain
 
         term = sf.statements[-1].term
-        assert isinstance(term, SeqTerm)
-        assert isinstance(term.second, HorizTerm)
+        assert isinstance(term, Chain) and term.op == ";"
+        assert [t.op for t in term.operands] == ["*", "."]
 
 
 class TestElaborator:
@@ -253,6 +256,72 @@ class TestEvaluation:
             elaborate(parse(text))
         assert str(info.value) == message
         assert (info.value.line, info.value.col) == where
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # inside a parenthesised first operand, which is spliced in
+            (
+                "set A = 2\nset B = 3\ndef x = (id(A) ; id(B)) ; id(B)\n",
+                "3:18: cannot compose in sequence: first stage produces a "
+                "2-element set, second consumes a 3-element set",
+            ),
+            (
+                "set A = 2\nset B = 3\ndef x = (id(A) ; id(A)) ; id(B)\n",
+                "3:27: cannot compose in sequence: first stage produces a "
+                "2-element set, second consumes a 3-element set",
+            ),
+            (
+                "set A = 2\nset B = 3\ndef x = (id(A) ; id(B)) . id(A)\n",
+                "3:18: cannot compose in sequence: first stage produces a "
+                "2-element set, second consumes a 3-element set",
+            ),
+            (
+                "set A = 3000\nset B = 2\ndef x = (id(B) ; id(A) * id(A)) ; id(B)\n",
+                "3:18: cell of 81000000000000 dense bits (73.7 TiB) exceeds "
+                "the limit of 268435456",
+            ),
+            (
+                "set A = 3000\ndef x = (id(A) * id(A) ; id(A)) ; id(A)\n",
+                "2:10: cell of 81000000000000 dense bits (73.7 TiB) exceeds "
+                "the limit of 268435456",
+            ),
+            (
+                "set A = 3000\ndef x = (id(A) ; id(A)) * id(A) ; id(A)\n",
+                "2:10: cell of 81000000000000 dense bits (73.7 TiB) exceeds "
+                "the limit of 268435456",
+            ),
+            # inside a parenthesised later operand, which stays nested
+            (
+                "set A = 2\nset B = 3\ndef x = id(A) ; (id(A) ; id(B))\n",
+                "3:26: cannot compose in sequence: first stage produces a "
+                "2-element set, second consumes a 3-element set",
+            ),
+            (
+                "set A = 2\nset B = 3\ndef x = id(A) ; (id(B) ; id(B))\n",
+                "3:18: cannot compose in sequence: first stage produces a "
+                "2-element set, second consumes a 3-element set",
+            ),
+            (
+                "set A = 3000\ndef x = id(A) ; (id(A) ; id(A) * id(A))\n",
+                "2:26: cell of 81000000000000 dense bits (73.7 TiB) exceeds "
+                "the limit of 268435456",
+            ),
+            (
+                "set A = 3000\ndef x = id(A) ; (id(A) * id(A) ; id(A))\n",
+                "2:18: cell of 81000000000000 dense bits (73.7 TiB) exceeds "
+                "the limit of 268435456",
+            ),
+        ],
+    )
+    def test_errors_in_nested_chains_are_located(self, text, message):
+        # a mismatch is located at the operand that does not fit, and a
+        # refusal at the first leaf of the refused chain
+        with pytest.raises(ElaborationError) as info:
+            elaborate(parse(text))
+        assert str(info.value) == message
+        line, col = message.split(":")[:2]
+        assert (info.value.line, info.value.col) == (int(line), int(col))
 
     def test_tensor_charge_matches_the_built_composite(self, monkeypatch):
         charged = []
@@ -444,11 +513,31 @@ class TestRoundTrip:
         ids=["type", "builtin-type", ";", ".", "*", "mixed"],
     )
     def test_long_chains_round_trip(self, body):
-        # the printer walks the left spine of a product or an operator
-        # chain in a loop, as the parser does; the text is printed as it is
-        # written, and the trees are too deep to compare with ==
+        # a chain or a product is one node with a tuple of operands, so its
+        # length costs no depth in the printer, ==, hash or repr
         text = f"set A = 1\n{body}\n"
-        assert format_source(parse(text)) == text
+        sf = parse(text)
+        assert format_source(sf) == text
+        assert parse(format_source(sf)) == sf
+        assert hash(sf) == hash(parse(text))
+        assert repr(sf).startswith("SourceFile(")
+
+    def test_printed_text_is_pinned(self):
+        # the round trip alone would pass a printer that added parentheses;
+        # the golden holds the text printed for every file that parses
+        printed = {}
+        data_files = sorted(glob.glob(os.path.join(DATA_DIR, "*.rcat")))
+        for path in spec_files() + data_files:
+            with open(path, "r", encoding="utf-8") as handle:
+                try:
+                    sf = parse(handle.read())
+                except ParseError:
+                    continue
+            key = f"{os.path.basename(os.path.dirname(path))}/{os.path.basename(path)}"
+            printed[key] = format_source(sf)
+        golden = os.path.join(DATA_DIR, "golden", "format_source.json")
+        with open(golden, "r", encoding="utf-8") as handle:
+            assert printed == json.load(handle)
 
     def test_corpus_is_large_enough(self):
         assert len(spec_files()) >= 20

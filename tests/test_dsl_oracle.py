@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_cells as oracle
-from relcat.dsl import elaborate, evaluate, parse, run_source
+from relcat.dsl import elaborate, evaluate, format_source, parse, run_source
 
 SET_NAMES = ("A", "B", "C")
 MAX_FACTORS = 3  # on every boundary, so that no fiber exceeds 27 elements
@@ -201,6 +201,9 @@ def test_denotation_matches_cell_oracle(program):
     report = run_source(text)
     assert report.error is None and report.exit_code == 0, (text, report.error)
     source = parse(text)
+    # every node is parenthesised, so this splices `(a ; b) ; c` and
+    # keeps `a ; (b ; c)` nested
+    assert parse(format_source(source)) == source
     cell = evaluate(elaborate(source), source.statements[-2].term)
     model = _model(sizes, tree)
     assert (cell.domain.src.size, cell.domain.dst.size) == (model.dom.src, model.dom.dst)
