@@ -394,11 +394,6 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     ``beta.component(u, t) (x) alpha.component(t, s)``; with a single
     middle value that block is the whole component.
     """
-    if alpha.domain.dst.size != beta.domain.src.size:
-        raise ShapeError(
-            f"horizontal composition: middle 0-cells have sizes "
-            f"{alpha.domain.dst.size} and {beta.domain.src.size}"
-        )
     domain = hcompose_one(alpha.domain, beta.domain)
     codomain = hcompose_one(alpha.codomain, beta.codomain)
     mid = alpha.domain.dst.size

@@ -40,6 +40,13 @@ is spliced in, so ``(a ; b) ; c`` and ``a ; b ; c`` are the same tree.
 `elaborate` builds each cell once, at its statement: `evaluate` types a
 composite from its operands' cells and refuses it by its dense size before
 building it.  A check compares two built cells by name.
+
+Every cell the language can express is a scalar: a two-cell between
+one-cells from the one-element 0-cell to itself, in which a region appears
+only as a bubble.  So a ``.`` node and a ``*`` node have fibers of the same
+sizes, and both are charged the product of their operands' dense sizes.  A
+builtin whose cell had larger 0-cells would need a charge computed from
+its fiber sizes instead.
 """
 
 from __future__ import annotations
@@ -47,8 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import mul
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from relcat.cells import (
     OneCell,
@@ -73,7 +79,14 @@ from relcat.generators import (
     scalar_compare,
     scalar_copy,
 )
-from relcat.relations import FiniteSet, Rel, make, product_set
+from relcat.relations import (
+    MAX_DENSE_BITS,
+    FiniteSet,
+    Rel,
+    dense_size,
+    make,
+    product_set,
+)
 
 __all__ = [
     "CheckReport",
@@ -271,22 +284,6 @@ Statement = Union[SetDecl, GenDecl, BuiltinDecl, DefDecl, CheckDecl]
 @dataclass(frozen=True)
 class SourceFile:
     statements: tuple[Statement, ...]
-
-
-BUILTIN_OPS = (
-    "id",
-    "cup",
-    "cap",
-    "delete",
-    "create",
-    "copy",
-    "compare",
-    "delete_region",
-    "create_region",
-    "publish",
-    "sample",
-    "controlled",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +523,23 @@ def parse(text: str) -> SourceFile:
     parser = _Parser(_tokenize(text))
     try:
         return parser.parse_file()
-    except RecursionError:
-        raise parser.fail("terms nested too deeply") from None
+    except RecursionError as exc:
+        raise parser.fail(f"{_nested_deepest(exc)} nested too deeply") from None
+
+
+def _nested_deepest(exc: RecursionError) -> str:
+    """What the parser was deepest in when its recursion ran out: types or
+    terms.  A level of parentheses costs a type one `parse_type` frame and
+    a term one `parse_atom` frame."""
+    type_code, term_code = _Parser.parse_type.__code__, _Parser.parse_atom.__code__
+    types = terms = 0
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        types += code is type_code
+        terms += code is term_code
+        tb = tb.tb_next
+    return "types" if types > terms else "terms"
 
 
 # ---------------------------------------------------------------------------
@@ -539,33 +551,6 @@ class ElaborationError(ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.line, self.col = line, col
         super().__init__(f"{line}:{col}: {message}" if line else message)
-
-
-# The most bits one dense matrix of a source file may hold.  A bit takes a
-# byte, and a large composition casts its operands to float32 besides.
-MAX_DENSE_BITS = 1 << 28
-
-
-def dense_size(bits: int) -> str:
-    """A bit count with its size in memory, at one byte per bit.
-
-    Integer arithmetic only, so that no count overflows a float.  From
-    1024 PiB (2^60 bits) on, the count is given as the nearest power of
-    two, as `search.BudgetExceeded` gives a candidate space too long to
-    print.
-    """
-    if bits >> 60:
-        n = bits.bit_length() - 1
-        if bits * bits >> (2 * n + 1):  # log2(bits) >= n + 1/2
-            n += 1
-        return f"about 2^{n} dense bits"
-    scale = min(5, (bits.bit_length() - 1) // 10)
-    unit = "B KiB MiB GiB TiB PiB".split()[scale]
-    # tenths of a unit, rounded half to even as format(x, ".1f") does
-    tenths, rest = divmod(10 * bits, 1 << 10 * scale)
-    if 2 * rest + (tenths & 1) > 1 << 10 * scale:
-        tenths += 1
-    return f"{bits} dense bits ({tenths // 10}.{tenths % 10} {unit})"
 
 
 def _refuse_dense(bits: int, line: int, col: int) -> None:
@@ -585,15 +570,6 @@ def _dense_bits(domain: OneCell, codomain: OneCell) -> int:
         for row_a, row_b in zip(domain.fiber_sizes(), codomain.fiber_sizes())
         for a, b in zip(row_a, row_b)
     )
-
-
-# Each builtin on an n-element set builds at most n ** k bits in one
-# matrix: a cup or cap is an n x n matrix, and a region's largest matrix is
-# its scalar copy or compare, n x n^2.  The region's bound also keeps its
-# n^2 Python-level components few.  A controlled cell is charged as its
-# region or as its scalar form, n^2 * |in| * |out|, whichever is larger.
-_BUILTIN_BITS_EXPONENT = {"id": 2, "cup": 2, "cap": 2, "delete": 1, "create": 1}
-_REGION_BITS_EXPONENT = 3
 
 
 @dataclass
@@ -685,6 +661,30 @@ def _build_rel(
     return make(src, dst, pairs)
 
 
+# Each builtin but `controlled`, with the exponent k of its charge and the
+# function that builds its cell from its argument's factors and elements.
+# On an n-element set it builds at most n ** k bits in one matrix: a cup or
+# cap is an n x n matrix, and a region's largest matrix is its scalar copy
+# or compare, n x n^2.  The region's bound also keeps its n^2 Python-level
+# components few.  A controlled cell is charged as its region or as its
+# scalar form, n^2 * |in| * |out|, whichever is larger.
+_REGION_BITS_EXPONENT = 3
+_BUILTINS: dict[str, tuple[int, Callable[[list[FiniteSet], FiniteSet], TwoCell]]] = {
+    "id": (2, lambda factors, s: identity_two_cell(_type_one_cell(factors, s))),
+    "cup": (2, lambda _, s: cup_cell(canonical_cup(s))),
+    "cap": (2, lambda _, s: cap_cell(canonical_cup(s))),
+    "delete": (1, lambda _, s: delete_cell(s)),
+    "create": (1, lambda _, s: create_cell(s)),
+    "copy": (3, lambda _, s: scalar_copy(region_structure(s))),
+    "compare": (3, lambda _, s: scalar_compare(region_structure(s))),
+    "delete_region": (3, lambda _, s: region_structure(s).delete_region),
+    "create_region": (3, lambda _, s: region_structure(s).create_region),
+    "publish": (3, lambda _, s: region_structure(s).publish),
+    "sample": (3, lambda _, s: region_structure(s).sample),
+}
+BUILTIN_OPS = (*_BUILTINS, "controlled")
+
+
 def _builtin_binding(
     env: Env, call: BuiltinCall
 ) -> tuple[TwoCell, Optional[ControlledOp]]:
@@ -720,62 +720,14 @@ def _builtin_binding(
             public, in_set, out_set, tuple(by_value[v] for v in range(public.size))
         )
         return controlled_scalar(op_data), op_data
+    exponent, build = _BUILTINS[op]
     fiber = _fiber(factors[0])
-    _refuse_dense(
-        fiber.size ** _BUILTIN_BITS_EXPONENT.get(op, _REGION_BITS_EXPONENT),
-        call.line,
-        call.col,
-    )
-    if op == "id":
-        cell = identity_two_cell(_type_one_cell(factors[0], fiber))
-    elif op == "cup":
-        cell = cup_cell(canonical_cup(fiber))
-    elif op == "cap":
-        cell = cap_cell(canonical_cup(fiber))
-    elif op == "delete":
-        cell = delete_cell(fiber)
-    elif op == "create":
-        cell = create_cell(fiber)
-    else:
-        rs = region_structure(fiber)
-        cell = {
-            "copy": lambda: scalar_copy(rs),
-            "compare": lambda: scalar_compare(rs),
-            "delete_region": lambda: rs.delete_region,
-            "create_region": lambda: rs.create_region,
-            "publish": lambda: rs.publish,
-            "sample": lambda: rs.sample,
-        }[op]()
-    return cell, None
+    _refuse_dense(fiber.size**exponent, call.line, call.col)
+    return build(factors[0], fiber), None
 
 
 def _describe(cell: OneCell) -> str:
-    fiber = cell.fiber(0, 0) if cell.src.size == 1 and cell.dst.size == 1 else None
-    if fiber is None:
-        return f"cell between 0-cells of sizes {cell.src.size} and {cell.dst.size}"
-    return f"{fiber.size}-element set"
-
-
-def _hcompose_bits(first: TwoCell, second: TwoCell) -> int:
-    """`_dense_bits` of `hcompose_two(first, second)`, from the operands'
-    fiber sizes in Python integers: the composite fiber (u, s) has the sum
-    over t of |second fiber (u, t)| * |first fiber (t, s)| elements."""
-
-    def sizes(a: OneCell, b: OneCell) -> list[int]:
-        a_columns = list(zip(*a.sizes.tolist()))
-        return [
-            sum(map(mul, row, column))
-            for row in b.sizes.tolist()
-            for column in a_columns
-        ]
-
-    return sum(
-        map(
-            mul,
-            sizes(first.domain, second.domain),
-            sizes(first.codomain, second.codomain),
-        )
-    )
+    return f"{cell.fiber(0, 0).size}-element set"
 
 
 def evaluate(env: Env, term: Term) -> TwoCell:
@@ -783,7 +735,8 @@ def evaluate(env: Env, term: Term) -> TwoCell:
 
     A chain's operands are evaluated left to right in one loop.  Each step
     is charged by its dense size before its composite is built, and the
-    charge is located at the chain's first leaf.
+    charge is located at the chain's first leaf.  Every cell is a scalar,
+    so a `.` step is charged as a `*` step is.
     """
     if isinstance(term, NameTerm):
         if term.name not in env.cells:
@@ -798,27 +751,26 @@ def evaluate(env: Env, term: Term) -> TwoCell:
     cell = evaluate(env, term.operands[0])
     where = _term_pos(term)
     for operand in term.operands[1:]:
+        left, right = cell, evaluate(env, operand)
         if term.op == ";":
-            first, second = cell, evaluate(env, operand)
-            if first.codomain.fiber_sizes() != second.domain.fiber_sizes():
+            if left.codomain.fiber_sizes() != right.domain.fiber_sizes():
                 raise ElaborationError(
                     f"cannot compose in sequence: first stage produces a "
-                    f"{_describe(first.codomain)}, second consumes a "
-                    f"{_describe(second.domain)}",
+                    f"{_describe(left.codomain)}, second consumes a "
+                    f"{_describe(right.domain)}",
                     *_term_pos(operand),
                 )
-            bits, compose = _dense_bits(first.domain, second.codomain), vcompose
-        elif term.op == ".":
-            # the right operand is applied first
-            second, first = cell, evaluate(env, operand)
-            bits, compose = _hcompose_bits(first, second), hcompose_two
+            _refuse_dense(_dense_bits(left.domain, right.codomain), *where)
+            cell = vcompose(left, right)
         else:
-            # each component of a tensor is a product of one from each side
-            first, second = cell, evaluate(env, operand)
-            sizes = [_dense_bits(x.domain, x.codomain) for x in (first, second)]
-            bits, compose = sizes[0] * sizes[1], tensor
-        _refuse_dense(bits, *where)
-        cell = compose(first, second)
+            # each component is a product of one from each side
+            _refuse_dense(
+                _dense_bits(left.domain, left.codomain)
+                * _dense_bits(right.domain, right.codomain),
+                *where,
+            )
+            # `.` applies its right operand first
+            cell = hcompose_two(right, left) if term.op == "." else tensor(left, right)
     return cell
 
 

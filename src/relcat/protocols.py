@@ -50,10 +50,11 @@ from relcat.generators import (
     swap_cell,
     wire_cell,
 )
-from relcat.dsl import MAX_DENSE_BITS, dense_size
 from relcat.relations import (
+    MAX_DENSE_BITS,
     FiniteSet,
     Rel,
+    dense_size,
     identity,
     make,
     predicates,

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "MAX_DENSE_BITS",
     "FiniteSet",
     "Permutation",
     "Rel",
@@ -31,6 +32,7 @@ __all__ = [
     "as_finite_set",
     "compose",
     "converse",
+    "dense_size",
     "empty",
     "full",
     "identity",
@@ -262,6 +264,32 @@ _BOOL_MATMUL_MAX_WORK = 4096
 # of the state in chunks, so that each float32 state has at most this many
 # entries (16 MiB) unless one column alone has more.
 _CONTRACT_MAX_STATE = 1 << 22
+# The most bits one dense matrix may hold, in a source file's cells or in a
+# protocol check.  A bit takes a byte, and a large composition casts its
+# operands to float32 besides.
+MAX_DENSE_BITS = 1 << 28
+
+
+def dense_size(bits: int) -> str:
+    """A bit count with its size in memory, at one byte per bit.
+
+    Integer arithmetic only, so that no count overflows a float.  From
+    1024 PiB (2^60 bits) on, the count is given as the nearest power of
+    two, as `search.BudgetExceeded` gives a candidate space too long to
+    print.
+    """
+    if bits >> 60:
+        n = bits.bit_length() - 1
+        if bits * bits >> (2 * n + 1):  # log2(bits) >= n + 1/2
+            n += 1
+        return f"about 2^{n} dense bits"
+    scale = min(5, (bits.bit_length() - 1) // 10)
+    unit = "B KiB MiB GiB TiB PiB".split()[scale]
+    # tenths of a unit, rounded half to even as format(x, ".1f") does
+    tenths, rest = divmod(10 * bits, 1 << 10 * scale)
+    if 2 * rest + (tenths & 1) > 1 << 10 * scale:
+        tenths += 1
+    return f"{bits} dense bits ({tenths // 10}.{tenths % 10} {unit})"
 
 
 class _Kronecker:

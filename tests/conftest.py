@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
 import pytest
 
+from relcat import relations
 from relcat.cells import OneCell, TwoCell
+from relcat.generators import region_structure
 from relcat.relations import FiniteSet, Rel
 
 
@@ -60,3 +63,35 @@ class CellBuilder:
 @pytest.fixture
 def builder() -> CellBuilder:
     return CellBuilder(seed=20240811)
+
+
+@pytest.fixture
+def record_built(monkeypatch):
+    """A context manager that lists the size of every matrix built inside
+    it, dense or from Kronecker factors.  Cached region cells are built
+    again inside it, so that they are counted too."""
+
+    @contextlib.contextmanager
+    def record():
+        built = []
+        init, materialise = relations.Rel.__init__, relations._materialise
+
+        def recording_init(self, src, dst, bits):
+            init(self, src, dst, bits)
+            built.append(self.bits.size)
+
+        def recording_materialise(factors):
+            out = materialise(factors)
+            built.append(out.size)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(relations.Rel, "__init__", recording_init)
+            patch.setattr(relations, "_materialise", recording_materialise)
+            region_structure.cache_clear()
+            try:
+                yield built
+            finally:
+                region_structure.cache_clear()
+
+    return record

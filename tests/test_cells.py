@@ -96,6 +96,15 @@ class TestHComposeOne:
         with pytest.raises(ShapeError):
             hcompose_one(scalar_one_cell(1), identity_one_cell(2))
 
+    def test_two_cells_with_mismatched_middles(self):
+        alpha = identity_two_cell(scalar_one_cell(1))
+        beta = identity_two_cell(identity_one_cell(2))
+        with pytest.raises(ShapeError) as info:
+            hcompose_two(alpha, beta)
+        assert str(info.value) == (
+            "horizontal composition: middle 0-cells have sizes 1 and 2"
+        )
+
     def test_empty_middle_zero_cell(self):
         zero = FiniteSet(0)
         a = OneCell(FiniteSet(1), zero, ())

@@ -1,10 +1,11 @@
 import glob
 import json
 import os
+import re
 
 import pytest
 
-from relcat import cells, dsl, relations
+from relcat import cells, dsl
 from relcat.cells import equal, hcompose_two, tensor, vcompose
 from relcat.dsl import (
     CheckReport,
@@ -17,7 +18,6 @@ from relcat.dsl import (
     parse,
     run_source,
 )
-from relcat.generators import region_structure
 from relcat.protocols import (
     check_correctness,
     check_correctness_protocol_form,
@@ -78,6 +78,27 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse("set K = 2\nset J = @")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "body, what",
+        [
+            ("gen g : {type} -> 1 = {{}}", "types"),
+            ("def x = id({type}) ; id(A)", "types"),
+            ("def x = {term}", "terms"),
+        ],
+    )
+    def test_deep_nesting_is_named_by_what_nests(self, body, what):
+        # the parser gives up where its recursion runs out, at a position
+        # that depends on the stack it was called from
+        n = 3000
+        text = "set A = 2\n" + body.format(
+            type="A * (" * n + "A" + ")" * n, term="(" * n + "id(A)" + ")" * n
+        )
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert re.fullmatch(
+            rf"2:\d+: {what} nested too deeply, found '[(*]'", str(info.value)
+        )
 
     def test_precedence(self):
         sf = parse("set A = 2\ndef x = id(A) * id(A) ; id(A * A) . id(1)\n")
@@ -195,7 +216,7 @@ class TestEvaluation:
         assert env.cells["x"].codomain.fiber_sizes() == ((size,),)
 
     def test_horizontal_composite_builds_each_boundary_once(self, monkeypatch):
-        # the charge is read off the operands' fiber sizes, so the only
+        # the charge is the product of the operands' dense sizes, so the only
         # composite one-cells built are the two boundaries of x
         built = []
         composite = cells.OneCell._composite
@@ -385,53 +406,83 @@ BUILTIN_CALLS = [
 ]
 
 
+def _zero_cell_sizes(cell) -> tuple[int, int, int, int]:
+    """The sizes of the 0-cells at both ends of a cell's two one-cells."""
+    ends = (cell.domain.src, cell.domain.dst, cell.codomain.src, cell.codomain.dst)
+    return tuple(x.size for x in ends)
+
+
 class TestChargeTable:
     def test_every_builtin_is_listed(self):
         assert {c.split("(")[0] for c in BUILTIN_CALLS} == set(dsl.BUILTIN_OPS)
 
     @staticmethod
-    def record(monkeypatch) -> tuple[list[int], list[int]]:
-        """The sizes of every relation built, dense or from Kronecker
-        factors, and every charge that `_refuse_dense` is asked to allow."""
-        built, charged = [], []
-        init, materialise = relations.Rel.__init__, relations._materialise
-        refuse = dsl._refuse_dense
-
-        def recording_init(self, src, dst, bits):
-            init(self, src, dst, bits)
-            built.append(self.bits.size)
-
-        def recording_materialise(factors):
-            out = materialise(factors)
-            built.append(out.size)
-            return out
+    def charges(monkeypatch) -> list[int]:
+        """Every charge that `_refuse_dense` is asked to allow."""
+        charged, refuse = [], dsl._refuse_dense
 
         def recording_refuse(bits, line, col):
             charged.append(bits)
             refuse(bits, line, col)
 
-        monkeypatch.setattr(relations.Rel, "__init__", recording_init)
-        monkeypatch.setattr(relations, "_materialise", recording_materialise)
         monkeypatch.setattr(dsl, "_refuse_dense", recording_refuse)
-        return built, charged
+        return charged
 
     @pytest.mark.parametrize("call", BUILTIN_CALLS)
-    def test_no_relation_built_exceeds_the_charge(self, monkeypatch, call):
-        built, charged = self.record(monkeypatch)
-        region_structure.cache_clear()
-        report = run_source(
-            f"set A = 3\nset B = 2\nbuiltin x = {call}\ncheck x == x\n"
-        )
+    def test_no_relation_built_exceeds_the_charge(
+        self, monkeypatch, record_built, call
+    ):
+        charged = self.charges(monkeypatch)
+        with record_built() as built:
+            report = run_source(
+                f"set A = 3\nset B = 2\nbuiltin x = {call}\ncheck x == x\n"
+            )
         assert report.exit_code == 0, report.error
         assert built and max(built) <= max(charged)
 
-    def test_oversized_composite_is_refused_before_it_is_built(self, monkeypatch):
+    @pytest.mark.parametrize("op", [".", "*"])
+    def test_product_charge_matches_the_built_composite(self, monkeypatch, op):
+        # every cell is a scalar, so `.` and `*` build fibers of the same
+        # sizes: the product of their operands' dense sizes
+        charged = []
+        monkeypatch.setattr(
+            dsl, "_refuse_dense", lambda bits, line, col: charged.append(bits)
+        )
+        for left in BUILTIN_CALLS:
+            for right in BUILTIN_CALLS:
+                env = elaborate(
+                    parse(f"set A = 3\nset B = 2\ndef x = {left} {op} {right}\n")
+                )
+                x = env.cells["x"]
+                assert charged[-1] == dsl._dense_bits(x.domain, x.codomain)
+
+    @pytest.mark.parametrize("call", BUILTIN_CALLS)
+    def test_every_builtin_is_a_scalar(self, call):
+        env = elaborate(parse(f"set A = 3\nset B = 2\nbuiltin x = {call}\n"))
+        assert _zero_cell_sizes(env.cells["x"]) == (1, 1, 1, 1)
+
+    def test_every_shipped_cell_is_a_scalar(self):
+        files = spec_files() + sorted(glob.glob(os.path.join(DATA_DIR, "*.rcat")))
+        sizes = []
+        for path in files:
+            with open(path, "r", encoding="utf-8") as handle:
+                try:
+                    env = elaborate(parse(handle.read()))
+                except (ParseError, ElaborationError):
+                    continue
+            sizes += [_zero_cell_sizes(cell) for cell in env.cells.values()]
+        assert len(sizes) >= 100 and set(sizes) == {(1, 1, 1, 1)}
+
+    def test_oversized_composite_is_refused_before_it_is_built(
+        self, monkeypatch, record_built
+    ):
         # 26^4 bits for the inner product, 26^6 for the outer one
         assert 26**4 <= dsl.MAX_DENSE_BITS < 26**6
-        built, charged = self.record(monkeypatch)
-        report = run_source(
-            "set A = 26\ndef x = id(A) * id(A) * id(A)\ncheck x == x\n"
-        )
+        charged = self.charges(monkeypatch)
+        with record_built() as built:
+            report = run_source(
+                "set A = 26\ndef x = id(A) * id(A) * id(A)\ncheck x == x\n"
+            )
         assert report.error == (
             "2:9: cell of 308915776 dense bits (294.6 MiB) exceeds the limit "
             "of 268435456"

@@ -10,6 +10,11 @@ every bit of every component is compared.
 A type is a tuple of set names, the empty tuple being the unit ``1``.  The
 language types `;` by fiber sizes alone, so the model joins the two stages
 of a sequence by matching the paths of the shared fiber rank by rank.
+
+A second test checks, on the same terms, that every cell and every
+composite built on the way is a scalar, and that a `.` or `*` composite
+has the product of its operands' dense sizes, which is how `evaluate`
+charges it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_cells as oracle
-from relcat.dsl import elaborate, evaluate, format_source, parse, run_source
+from relcat.dsl import (
+    Chain,
+    _dense_bits,
+    elaborate,
+    evaluate,
+    format_source,
+    parse,
+    run_source,
+)
 
 SET_NAMES = ("A", "B", "C")
 MAX_FACTORS = 3  # on every boundary, so that no fiber exceeds 27 elements
@@ -214,3 +227,36 @@ def test_denotation_matches_cell_oracle(program):
         assert cell.codomain.sizes[t, s] == len(outs), text
         expected = [[(x, y) in rel for x in ins] for y in outs]
         assert cell.component(t, s).bits.tolist() == expected, text
+
+
+def _steps(term):
+    """Each composite that evaluating a term builds, as a term of its own,
+    with the two terms it is built from."""
+    if not isinstance(term, Chain):
+        return
+    for operand in term.operands:
+        yield from _steps(operand)
+    for k in range(2, len(term.operands) + 1):
+        before = Chain(term.op, term.operands[: k - 1]) if k > 2 else term.operands[0]
+        yield Chain(term.op, term.operands[:k]), before, term.operands[k - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=programs())
+def test_every_cell_is_a_scalar(program):
+    # every leaf and every composite lies on the one-element 0-cell, so a
+    # `.` step builds, as a `*` step does, the product of its operands'
+    # dense sizes, which is what `evaluate` charges both
+    source = parse(_source(*program))
+    env = elaborate(source)
+    cells = list(env.cells.values())
+    for step, before, operand in _steps(source.statements[-2].term):
+        built, a, b = (evaluate(env, t) for t in (step, before, operand))
+        cells.append(built)
+        if step.op != ";":
+            assert _dense_bits(built.domain, built.codomain) == _dense_bits(
+                a.domain, a.codomain
+            ) * _dense_bits(b.domain, b.codomain)
+    for cell in cells:
+        ends = (cell.domain.src, cell.domain.dst, cell.codomain.src, cell.codomain.dst)
+        assert [x.size for x in ends] == [1, 1, 1, 1]

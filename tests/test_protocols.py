@@ -573,34 +573,18 @@ CHARGE_SIZES = [
 
 class TestChargeTable:
     @staticmethod
-    def largest_built(inst: ProtocolInstance, monkeypatch) -> tuple[int, dict]:
+    def largest_built(inst: ProtocolInstance, record_built) -> tuple[int, dict]:
         """The largest matrix built by every OTP and sharing check, dense
         or from Kronecker factors, and the verdicts."""
-        built = []
-        init, materialise = relations.Rel.__init__, relations._materialise
-
-        def recording_init(self, src, dst, bits):
-            init(self, src, dst, bits)
-            built.append(self.bits.size)
-
-        def recording_materialise(factors):
-            out = materialise(factors)
-            built.append(out.size)
-            return out
-
-        with monkeypatch.context() as patch:
-            patch.setattr(relations.Rel, "__init__", recording_init)
-            patch.setattr(relations, "_materialise", recording_materialise)
-            region_structure.cache_clear()
+        with record_built() as built:
             record = Verification(inst)
             verdicts = {name: record[name] for name in _CHECKS}
-        region_structure.cache_clear()
         return max(built), verdicts
 
     @pytest.mark.parametrize("sizes", CHARGE_SIZES, ids=str)
     @pytest.mark.parametrize("scheme", [function_scheme, random_scheme])
-    def test_no_matrix_built_exceeds_the_charge(self, monkeypatch, sizes, scheme):
-        largest, verdicts = self.largest_built(scheme(*sizes, seed=1), monkeypatch)
+    def test_no_matrix_built_exceeds_the_charge(self, record_built, sizes, scheme):
+        largest, verdicts = self.largest_built(scheme(*sizes, seed=1), record_built)
         assert largest <= instance_bits(*sizes)
         p, k, _ = sizes
         if scheme is function_scheme and k >= p:
@@ -614,15 +598,15 @@ class TestChargeTable:
         [(4, 4, 4), (7, 7, 2), (2, 40, 1), (2, 17, 13), (17, 2, 13)],
         ids=["eager-product", "p*k^3*c", "(p*k)^2", "(k*c)^2", "(p*c)^2"],
     )
-    def test_each_term_is_reached(self, monkeypatch, sizes):
+    def test_each_term_is_reached(self, record_built, sizes):
         # at each of these sizes one term of the charge alone is the largest
-        largest, _ = self.largest_built(function_scheme(*sizes, seed=1), monkeypatch)
+        largest, _ = self.largest_built(function_scheme(*sizes, seed=1), record_built)
         assert largest == instance_bits(*sizes)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
-    def test_group_charge_is_the_largest_matrix_built(self, monkeypatch, n):
+    def test_group_charge_is_the_largest_matrix_built(self, record_built, n):
         # the rebuild's n^5 bits; the first group charged over 2^28 is 49
-        largest, verdicts = self.largest_built(group_instance(n), monkeypatch)
+        largest, verdicts = self.largest_built(group_instance(n), record_built)
         assert all(v.holds for v in verdicts.values())
         assert largest == instance_bits(n, n, n) == n**5
         assert instance_bits(48, 48, 48) <= 1 << 28 < instance_bits(49, 49, 49)
