@@ -7,6 +7,10 @@ relations acting fiberwise.  Two-cells compose vertically (fiberwise
 relational composition), horizontally (along a shared 0-cell, by a
 coproduct-of-products formula) and under tensor (Kronecker style); both
 build each component once, with `relations._kron`, the kernel of `product`.
+A horizontal composite builds one block per distinct pair of operand
+components, shared by every component it appears in, so a step whiskered
+between a region's boundaries (whose identities the region holds) is
+built once, not once per pair of region values.
 
 Encodings are strict.  Tensor products are mixed-radix with the left factor
 as the high digit.  For horizontal composition, a composite cell keeps the
@@ -297,8 +301,12 @@ class TwoCell:
     components: tuple[tuple[Rel, ...], ...]
 
     def __post_init__(self) -> None:
-        components = tuple(tuple(row) for row in self.components)
-        object.__setattr__(self, "components", components)
+        components = self.components
+        if type(components) is not tuple or any(
+            type(row) is not tuple for row in components
+        ):
+            components = tuple(tuple(row) for row in components)
+            object.__setattr__(self, "components", components)
         if (
             self.domain.src.size != self.codomain.src.size
             or self.domain.dst.size != self.codomain.dst.size
@@ -309,6 +317,10 @@ class TwoCell:
         ):
             raise ShapeError("component matrix shape does not match the 0-cells")
         doms, cods = self.domain.sizes.tolist(), self.codomain.sizes.tolist()
+        if [[r.src.size for r in row] for row in components] == doms and [
+            [r.dst.size for r in row] for row in components
+        ] == cods:
+            return
         for t, row in enumerate(components):
             for s, rel in enumerate(row):
                 if rel.src.size != doms[t][s] or rel.dst.size != cods[t][s]:
@@ -392,28 +404,46 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     outer leg, and paths through different middle values are unrelated.
     The block at middle value t is the Kronecker product
     ``beta.component(u, t) (x) alpha.component(t, s)``; with a single
-    middle value that block is the whole component.
+    middle value that block is the whole component.  A block depends on
+    its two operand components alone, so each distinct pair of them is
+    built once per call and shared by every component it appears in.
     """
     domain = hcompose_one(alpha.domain, beta.domain)
     codomain = hcompose_one(alpha.codomain, beta.codomain)
     mid = alpha.domain.dst.size
     doms, cods = domain.sizes.tolist(), codomain.sizes.tolist()
     sets = {n: FiniteSet(n) for n in set().union(*doms, *cods)}
+    blocks: dict[tuple[int, int], Rel | np.ndarray] = {}
+
+    def block(u: int, t: int, s: int) -> Rel | np.ndarray:
+        b, a = beta.component(u, t), alpha.component(t, s)
+        key = id(b), id(a)
+        if key not in blocks:
+            if mid == 1:
+                blocks[key] = _kron(b, a, sets[doms[u][s]], sets[cods[u][s]])
+            else:
+                blocks[key] = _materialise(_factors(b) + _factors(a))
+        return blocks[key]
 
     def component(u: int, s: int) -> Rel:
-        dom, cod = doms[u][s], cods[u][s]
         if mid == 1:
-            return _kron(
-                beta.component(u, 0), alpha.component(0, s), sets[dom], sets[cod]
-            )
+            return block(u, 0, s)
+        dom, cod = doms[u][s], cods[u][s]
         bits = np.zeros((cod, dom), dtype=bool)
         if bits.size:
-            ins, cols = _groups(_junctions(alpha.domain, beta.domain, u, s))
-            outs, rows = _groups(_junctions(alpha.codomain, beta.codomain, u, s))
-            for t in rows.keys() & cols.keys():
-                bits[np.ix_(outs[rows[t]], ins[cols[t]])] = _materialise(
-                    _factors(beta.component(u, t)) + _factors(alpha.component(t, s))
-                )
+            # sorted stably by middle value, the paths through t are a run
+            # in Kronecker order: each run's block goes into one
+            # middle-major matrix, which one scatter puts in path order
+            ins = _junctions(alpha.domain, beta.domain, u, s)
+            outs = _junctions(alpha.codomain, beta.codomain, u, s)
+            cols, rows = (np.bincount(j, minlength=mid) for j in (ins, outs))
+            col_at, row_at = ([0, *np.cumsum(n).tolist()] for n in (cols, rows))
+            by_middle = np.zeros_like(bits)
+            for t in np.flatnonzero(cols * rows).tolist():
+                runs = slice(row_at[t], row_at[t + 1]), slice(col_at[t], col_at[t + 1])
+                by_middle[runs] = block(u, t, s)
+            row_order, col_order = (np.argsort(j, kind="stable") for j in (outs, ins))
+            bits[row_order[:, None], col_order] = by_middle
         bits.setflags(write=False)
         return Rel(sets[dom], sets[cod], bits)
 
@@ -422,17 +452,6 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
         for u in range(domain.dst.size)
     )
     return TwoCell(domain, codomain, components)
-
-
-def _groups(junctions: np.ndarray) -> tuple[np.ndarray, dict[int, slice]]:
-    """The positions of a junction array sorted by middle value, stably,
-    and the slice of them that holds each middle value."""
-    order = np.argsort(junctions, kind="stable")
-    values, starts = np.unique(junctions[order], return_index=True)
-    bounds = [*starts.tolist(), order.size]
-    return order, {
-        t: slice(a, b) for t, a, b in zip(values.tolist(), bounds, bounds[1:])
-    }
 
 
 def _junctions(a_cell: OneCell, b_cell: OneCell, u: int, s: int) -> np.ndarray:

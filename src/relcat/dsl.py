@@ -37,6 +37,9 @@ tuple, and a product type one node holding its factors, so the parser,
 `evaluate` and the printer each read a chain of any length in one loop;
 only parentheses nest.  A parenthesised first operand of the same operator
 is spliced in, so ``(a ; b) ; c`` and ``a ; b ; c`` are the same tree.
+At most `MAX_NESTING` parentheses may be open at once, in terms and types
+together; a deeper file is refused at the parenthesis that opens the
+extra level.
 `elaborate` builds each cell once, at its statement: `evaluate` types a
 composite from its operands' cells and refuses it by its dense size before
 building it.  A check compares two built cells by name.
@@ -89,6 +92,7 @@ from relcat.relations import (
 )
 
 __all__ = [
+    "MAX_NESTING",
     "CheckReport",
     "ElaborationError",
     "Env",
@@ -291,10 +295,18 @@ class SourceFile:
 # ---------------------------------------------------------------------------
 
 
+# The most parentheses a term or type may hold open at once, terms and
+# types counted together.  The trees the parser accepts are then compared,
+# hashed, printed and evaluated far inside Python's default recursion
+# limit, which runs out at about 250 levels.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open in terms and types
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -323,6 +335,18 @@ class _Parser:
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == "PUNCT" and tok.text == text
+
+    def parenthesised(self, parse_inner: Callable[[], object], what: str):
+        """What `parse_inner` reads between parentheses, refused at the
+        opening parenthesis beyond `MAX_NESTING`."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"{what} nested too deeply")
+        self.next()
+        self.depth += 1
+        inner = parse_inner()
+        self.expect("PUNCT", ")")
+        self.depth -= 1
+        return inner
 
     def parse_file(self) -> SourceFile:
         statements = []
@@ -401,10 +425,7 @@ class _Parser:
             self.next()
             return TypeName(tok.text, tok.line, tok.col)
         if self.at_punct("("):
-            self.next()
-            inner = self.parse_type()
-            self.expect("PUNCT", ")")
-            return inner
+            return self.parenthesised(self.parse_type, "types")
         raise self.fail("expected a type", ("IDENT", "1", "("))
 
     def parse_reldata(self) -> RelData:
@@ -507,10 +528,7 @@ class _Parser:
     def parse_atom(self) -> Term:
         tok = self.peek()
         if self.at_punct("("):
-            self.next()
-            inner = self.parse_term()
-            self.expect("PUNCT", ")")
-            return inner
+            return self.parenthesised(self.parse_term, "terms")
         if tok.kind == "IDENT":
             if tok.text in BUILTIN_OPS:
                 return self.parse_builtincall()
@@ -520,26 +538,7 @@ class _Parser:
 
 
 def parse(text: str) -> SourceFile:
-    parser = _Parser(_tokenize(text))
-    try:
-        return parser.parse_file()
-    except RecursionError as exc:
-        raise parser.fail(f"{_nested_deepest(exc)} nested too deeply") from None
-
-
-def _nested_deepest(exc: RecursionError) -> str:
-    """What the parser was deepest in when its recursion ran out: types or
-    terms.  A level of parentheses costs a type one `parse_type` frame and
-    a term one `parse_atom` frame."""
-    type_code, term_code = _Parser.parse_type.__code__, _Parser.parse_atom.__code__
-    types = terms = 0
-    tb = exc.__traceback__
-    while tb is not None:
-        code = tb.tb_frame.f_code
-        types += code is type_code
-        terms += code is term_code
-        tb = tb.tb_next
-    return "types" if types > terms else "terms"
+    return _Parser(_tokenize(text)).parse_file()
 
 
 # ---------------------------------------------------------------------------

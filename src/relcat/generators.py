@@ -254,7 +254,10 @@ class RegionStructure:
     region (all fibers singletons) and ``boundary_right`` its reverse.  The
     four generators are the units and counits of the two adjunctions between
     them; ``publish`` and ``sample`` convert between a private wire carrying
-    the region's value set and the region itself.
+    the region's value set and the region itself.  ``id_left`` and
+    ``id_right``, the identity two-cells on the boundaries, are built when
+    first read and kept, so every step whiskered between the boundaries
+    reads the same two cells.
     """
 
     carrier: FiniteSet
@@ -266,6 +269,14 @@ class RegionStructure:
     create_region: TwoCell  # id_1  =>  boundary_right o boundary_left
     publish: TwoCell  # wire S  =>  boundary_right o boundary_left
     sample: TwoCell  # boundary_right o boundary_left  =>  wire S
+
+    @functools.cached_property
+    def id_left(self) -> TwoCell:
+        return identity_two_cell(self.boundary_left)
+
+    @functools.cached_property
+    def id_right(self) -> TwoCell:
+        return identity_two_cell(self.boundary_right)
 
 
 def _boundaries(s: FiniteSet) -> tuple[OneCell, OneCell]:
@@ -306,13 +317,13 @@ def region_structure(s: FiniteSet | int) -> RegionStructure:
 def scalar_copy(rs: RegionStructure) -> TwoCell:
     """The copy generator squeezed between the two boundaries: a scalar
     duplication of the region's value."""
-    first = hcompose_two(identity_two_cell(rs.boundary_left), rs.copy)
-    return hcompose_two(first, identity_two_cell(rs.boundary_right))
+    first = hcompose_two(rs.id_left, rs.copy)
+    return hcompose_two(first, rs.id_right)
 
 
 def scalar_compare(rs: RegionStructure) -> TwoCell:
-    first = hcompose_two(identity_two_cell(rs.boundary_left), rs.compare)
-    return hcompose_two(first, identity_two_cell(rs.boundary_right))
+    first = hcompose_two(rs.id_left, rs.compare)
+    return hcompose_two(first, rs.id_right)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +408,10 @@ def controlled_scalar(op: ControlledOp) -> TwoCell:
     """Scalar form against a region bubble sitting left of the wire:
     (v, x) relates to (v, y) exactly when family[v] relates x to y."""
     rs = region_structure(op.public_carrier)
-    return hcompose_two(
-        controlled_at_left_boundary(op), identity_two_cell(rs.boundary_right)
-    )
+    return hcompose_two(controlled_at_left_boundary(op), rs.id_right)
 
 
 def controlled_scalar_mirror(op: ControlledOp) -> TwoCell:
     """Scalar form with the bubble to the right of the wire."""
     rs = region_structure(op.public_carrier)
-    return hcompose_two(
-        identity_two_cell(rs.boundary_left), controlled_at_right_boundary(op)
-    )
+    return hcompose_two(rs.id_left, controlled_at_right_boundary(op))

@@ -254,10 +254,7 @@ def check_correctness_protocol_form(inst: ProtocolInstance) -> EquationVerdict:
     sender = tensor(vcompose(scalar_two_cell(inst.encrypt), rs.publish), k_wire)
     first_half = vcompose(tensor(p_wire, cup_cell(inst.pad)), sender)
     transit = identity_two_cell(first_half.codomain)
-    receive = hcompose_two(
-        controlled_at_left_boundary(inst.decrypt),
-        identity_two_cell(rs.boundary_right),
-    )
+    receive = hcompose_two(controlled_at_left_boundary(inst.decrypt), rs.id_right)
     lhs = vcompose_many(first_half, transit, receive)
     rhs_core = tensor(rs.create_region, p_wire)
     rhs = vcompose(rhs_core, identity_two_cell(rhs_core.codomain))
@@ -330,12 +327,11 @@ def _security_keyless_attacker(inst: ProtocolInstance) -> EquationVerdict:
     """With the key chosen blindly, decryption can yield every plaintext,
     whatever the public value says: checked per region value."""
     rs = region_structure(inst.ciphertexts)
-    id_bl = identity_two_cell(rs.boundary_left)
     lhs = vcompose(
-        hcompose_two(create_cell(inst.keys), id_bl),
+        hcompose_two(create_cell(inst.keys), rs.id_left),
         controlled_at_left_boundary(inst.decrypt),
     )
-    rhs = hcompose_two(create_cell(inst.plaintexts), id_bl)
+    rhs = hcompose_two(create_cell(inst.plaintexts), rs.id_left)
     return _verdict("S4", lhs, rhs)
 
 
@@ -366,12 +362,11 @@ def _decryption_inverse(record: Verification) -> EquationVerdict:
     """
     inst = record.inst
     rs = region_structure(inst.ciphertexts)
-    id_bl = identity_two_cell(rs.boundary_left)
     k_wire = wire_cell(inst.keys)
 
     dom = hcompose_one(scalar_one_cell(inst.plaintexts), rs.boundary_left)
     step1 = hcompose_two(_cup_split(inst.pad), identity_two_cell(dom))
-    step2 = hcompose_two(hcompose_two(k_wire, _enc_published_split(inst)), id_bl)
+    step2 = hcompose_two(hcompose_two(k_wire, _enc_published_split(inst)), rs.id_left)
     keep = identity_two_cell(hcompose_one(scalar_one_cell(inst.keys), rs.boundary_left))
     step3 = hcompose_two(keep, rs.compare)
     dinv = record.inverse = vcompose_many(step1, step2, step3)
@@ -407,7 +402,7 @@ def rebuild_encryption_from(inst: ProtocolInstance, dinv: TwoCell) -> EquationVe
     bubble = hcompose_one(rs.boundary_left, rs.boundary_right)
 
     step1 = hcompose_two(pk_cell, rs.create_region)
-    dinv_scalar = hcompose_two(dinv, identity_two_cell(rs.boundary_right))
+    dinv_scalar = hcompose_two(dinv, rs.id_right)
     step2 = hcompose_two(k_wire, dinv_scalar)
     step3 = hcompose_two(_cap_split(inst.pad), identity_two_cell(bubble))
     rebuilt = vcompose_many(step1, step2, step3)
@@ -465,7 +460,7 @@ def _sharing(record: Verification) -> tuple[EquationVerdict, ...]:
     """
     inst = record.inst
     rs = region_structure(inst.ciphertexts)
-    id_bl = identity_two_cell(rs.boundary_left)
+    id_bl = rs.id_left
     k_wire = wire_cell(inst.keys)
 
     prepare = hcompose_two(_cup_split(inst.pad), id_bl)
@@ -715,10 +710,7 @@ def _dh_sides(
 
 def _in_zone(rs: RegionStructure, step: TwoCell) -> TwoCell:
     """A scalar step whiskered between the boundaries of the ambient region."""
-    return hcompose_two(
-        hcompose_two(identity_two_cell(rs.boundary_right), step),
-        identity_two_cell(rs.boundary_left),
-    )
+    return hcompose_two(hcompose_two(rs.id_right, step), rs.id_left)
 
 
 def _dh_layers(
@@ -737,7 +729,7 @@ def _dh_layers(
     # sender's exponentiation against the ambient base at the left boundary
     id_rest = product(identity(z), product(identity(z), identity(z)))
     yield hcompose_two(
-        identity_two_cell(rs.boundary_right),
+        rs.id_right,
         controlled_at_left_boundary(zone_op([product(f, id_rest) for f in fam])),
     )
     yield _in_zone(rs, tensor_many(rs.publish, z_wire, z_wire, z_wire))
@@ -745,7 +737,7 @@ def _dh_layers(
     id_pre = product(identity(g), product(identity(z), identity(z)))
     yield hcompose_two(
         controlled_at_right_boundary(zone_op([product(id_pre, f) for f in fam])),
-        identity_two_cell(rs.boundary_left),
+        rs.id_left,
     )
     yield _in_zone(rs, tensor_many(g_wire, z_wire, z_wire, rs.publish))
     # the sender's published value travels across the first kept exponent

@@ -5,6 +5,9 @@ builds them in both, composes them the same way in both, and compares the
 fiber paths and every bit of every component.  Fibers that small never
 reach relcat's factored products, so each test runs a second time with
 every nonempty product factored and contracted wherever `compose` can.
+One pair of tests draws components from a few relations, so that one
+relation object stands at many positions of a cell, and joins its atoms
+at 0-cells of 3 or 4 values.
 """
 
 from __future__ import annotations
@@ -70,6 +73,44 @@ def _pair(src: int, dst: int, dom, cod, bits) -> tuple[TwoCell, oracle.Two]:
     return TwoCell(d, c, components), model
 
 
+@st.composite
+def shared_atoms(draw, src: int, dst: int) -> tuple[TwoCell, oracle.Two]:
+    """An atomic two-cell whose components are drawn from two relations of
+    each shape, so that most components are one and the same object."""
+    dom, cod = _sizes(draw, src, dst), _sizes(draw, src, dst)
+    drawn: dict = {}  # (rows, cols, choice) -> (bits, relation)
+    bits, components = {}, []
+    for t in range(dst):
+        row = []
+        for s in range(src):
+            rows, cols = cod[t][s], dom[t][s]
+            key = (rows, cols, draw(st.integers(0, 1)))
+            if key not in drawn:
+                b = [[draw(st.booleans()) for _ in range(cols)] for _ in range(rows)]
+                bits_array = np.array(b, dtype=bool).reshape(rows, cols)
+                drawn[key] = (b, Rel(FiniteSet(cols), FiniteSet(rows), bits_array))
+            bits[(t, s)], rel = drawn[key]
+            row.append(rel)
+        components.append(tuple(row))
+    d, c = _one_cell(src, dst, dom), _one_cell(src, dst, cod)
+    cell = TwoCell(d, c, tuple(components))
+    model = oracle.two_from_bits(
+        oracle.atom(dom, src, dst), oracle.atom(cod, src, dst), bits
+    )
+    return cell, model
+
+
+@st.composite
+def shared_chains(draw):
+    """Two or three atoms with shared components, joined at 0-cells of 3
+    or 4 values."""
+    n = draw(st.integers(2, 3))
+    zero = [draw(st.integers(0, 2))]
+    zero += [draw(st.integers(3, 4)) for _ in range(n - 1)]
+    zero.append(draw(st.integers(0, 3)))
+    return [draw(shared_atoms(zero[k], zero[k + 1])) for k in range(n)]
+
+
 def _unit_pair() -> tuple[TwoCell, oracle.Two]:
     return (
         identity_two_cell(identity_one_cell(1)),
@@ -129,6 +170,12 @@ def assert_agrees(cell: TwoCell, model: oracle.Two) -> None:
 @given(chain=chains(), right_first=st.booleans())
 def test_hcompose_chain(chain, right_first):
     assert_agrees(*_hchain(chain[0], right_first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=shared_chains(), right_first=st.booleans())
+def test_hcompose_shared_components_at_several_middles(chain, right_first):
+    assert_agrees(*_hchain(chain, right_first))
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,3 +240,12 @@ def test_vcompose_and_interchange_factored(layers, right_first):
 def test_tensor_factored(left, right, unit):
     with _all_products_factored():
         test_tensor.hypothesis.inner_test(left, right, unit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=shared_chains(), right_first=st.booleans())
+def test_hcompose_shared_components_at_several_middles_factored(chain, right_first):
+    with _all_products_factored():
+        test_hcompose_shared_components_at_several_middles.hypothesis.inner_test(
+            chain, right_first
+        )

@@ -842,8 +842,8 @@ class TestConsoleScript:
         assert err == b""
 
     def test_deep_parentheses_are_refused_by_the_parser(self, tmp_path):
-        # parentheses nest for real, so the parser refuses them where its
-        # recursion runs out, located at an opening parenthesis
+        # parentheses nest for real, so the parser refuses the one that
+        # opens level dsl.MAX_NESTING + 1
         path = tmp_path / "deep.rcat"
         path.write_text(
             f"set A = 2\ndef x = {'(' * 3000}id(A){')' * 3000}\ncheck x == x\n",
@@ -853,7 +853,7 @@ class TestConsoleScript:
         out, err = proc.communicate()
         assert proc.returncode == 2 and out == b""
         assert re.fullmatch(
-            rb"error: 2:\d+: terms nested too deeply, found '\('\n", err
+            rb"error: 2:109: terms nested too deeply, found '\('\n", err
         )
 
     def test_module_invocation(self):

@@ -1,7 +1,6 @@
 import glob
 import json
 import os
-import re
 
 import pytest
 
@@ -9,6 +8,7 @@ from relcat import cells, dsl
 from relcat.cells import equal, hcompose_two, tensor, vcompose
 from relcat.dsl import (
     CheckReport,
+    MAX_NESTING,
     ElaborationError,
     ParseError,
     check_equation,
@@ -40,6 +40,11 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 def spec_text(name: str) -> str:
     with open(os.path.join(SPEC_DIR, name), "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _called_from_depth(frames: int, f, *args):
+    """``f(*args)`` called from ``frames`` extra frames down the stack."""
+    return f(*args) if frames == 0 else _called_from_depth(frames - 1, f, *args)
 
 
 def spec_files() -> list[str]:
@@ -88,17 +93,56 @@ class TestParser:
         ],
     )
     def test_deep_nesting_is_named_by_what_nests(self, body, what):
-        # the parser gives up where its recursion runs out, at a position
-        # that depends on the stack it was called from
+        # refused at the parenthesis that opens level MAX_NESTING + 1, from
+        # any depth of the caller's stack
         n = 3000
         text = "set A = 2\n" + body.format(
             type="A * (" * n + "A" + ")" * n, term="(" * n + "id(A)" + ")" * n
         )
-        with pytest.raises(ParseError) as info:
-            parse(text)
-        assert re.fullmatch(
-            rf"2:\d+: {what} nested too deeply, found '[(*]'", str(info.value)
-        )
+        col = {"gen": 513, "def x = id": 516, "def x = {": 109}
+        col = next(c for start, c in col.items() if body.startswith(start))
+        message = f"2:{col}: {what} nested too deeply, found '('"
+        for extra_frames in (0, 100):
+            with pytest.raises(ParseError) as info:
+                _called_from_depth(extra_frames, parse, text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "shape, extra_frames",
+        [("chain", 0), ("mixed", 0), ("type in term", 0), ("chain", 200)],
+    )
+    def test_the_deepest_accepted_tree_compares_and_prints(self, shape, extra_frames):
+        n, h = MAX_NESTING, MAX_NESTING // 2
+        term = {
+            "chain": "(id(A) ; " * n + "id(A)" + ")" * n,
+            "mixed": "(id(A) * (id(A) . " * h + "id(A)" + "))" * h,
+            "type in term": "(id(A) ; " * h
+            + f"id({'A * (' * (n - h)}A{')' * (n - h)})"
+            + ")" * h,
+        }[shape]
+        text = f"set A = 1\ndef x = {term}\ncheck x == x\n"
+
+        def use():
+            tree = parse(text)
+            assert tree == parse(text) and hash(tree) == hash(parse(text))
+            assert parse(format_source(tree)) == tree
+            repr(tree)
+            return run_source(text)
+
+        assert _called_from_depth(extra_frames, use).exit_code == 0
+        deeper = text.replace("def x = ", "def x = (").replace("\ncheck", ")\ncheck")
+        with pytest.raises(ParseError, match=r"nested too deeply, found '\('"):
+            parse(deeper)
+
+    def test_the_deepest_accepted_type_compares_and_prints(self):
+        n = MAX_NESTING
+        text = f"set A = 1\ngen g : {'A * (' * n}A{')' * n} -> 1 = {{}}\n"
+        tree = parse(text)
+        assert tree == parse(text) and hash(tree) == hash(parse(text))
+        assert parse(format_source(tree)) == tree
+        repr(tree)
+        with pytest.raises(ParseError, match=r"^2:513: types nested too deeply"):
+            parse(text.replace(": A * (", ": A * (A * (").replace(" -> 1", ") -> 1"))
 
     def test_precedence(self):
         sf = parse("set A = 2\ndef x = id(A) * id(A) ; id(A * A) . id(1)\n")

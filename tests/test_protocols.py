@@ -8,6 +8,7 @@ from relcat.generators import (
     ControlledOp,
     canonical_cup,
     controlled_at_left_boundary,
+    cup_cell,
     cup_from_permutation,
     region_structure,
 )
@@ -516,6 +517,46 @@ class TestKeyExchange:
         verdict = check_dh(dh_instance(q, include_identity), erase_published=erase)
         assert verdict.holds == (erase and not include_identity)
         assert built and max(built) <= q**5
+
+    def test_boundary_identities_are_built_once_per_check(self, monkeypatch):
+        # two on the region's boundaries and one per wire, whatever the
+        # number of layers whiskered between the boundaries
+        import relcat.generators as generators
+        import relcat.protocols as protocols
+
+        built = []
+
+        def counted(a, _build=cells.identity_two_cell):
+            built.append(a)
+            return _build(a)
+
+        for module in (generators, protocols):
+            monkeypatch.setattr(module, "identity_two_cell", counted)
+        counts = []
+        for erase in (True, False):  # 11 and 10 layers
+            region_structure.cache_clear()
+            built.clear()
+            check_dh(dh_instance(7), erase_published=erase)
+            counts.append(len(built))
+        assert counts == [4, 4]
+
+    def test_a_whiskered_step_builds_one_block_per_distinct_pair(self, monkeypatch):
+        from relcat.protocols import _in_zone
+
+        q, blocks = 7, []
+
+        def counted(*args, _build=cells._kron):
+            blocks.append(args)
+            return _build(*args)
+
+        rs = region_structure(FiniteSet(q))
+        step = cells.tensor(cup_cell(canonical_cup(q)), cup_cell(canonical_cup(q)))
+        monkeypatch.setattr(cells, "_kron", counted)
+        cell = _in_zone(rs, step)
+        assert len(blocks) <= 2
+        # one relation, shared by all q x q components
+        assert len({id(c) for row in cell.components for c in row}) == 1
+        assert cell.component(3, 3) == step.scalar()
 
 
 class TestVerdictInvariants:
