@@ -7,10 +7,11 @@ relations acting fiberwise.  Two-cells compose vertically (fiberwise
 relational composition), horizontally (along a shared 0-cell, by a
 coproduct-of-products formula) and under tensor (Kronecker style); both
 build each component once, with `relations._kron`, the kernel of `product`.
-A horizontal composite builds one block per distinct pair of operand
-components, shared by every component it appears in, so a step whiskered
-between a region's boundaries (whose identities the region holds) is
-built once, not once per pair of region values.
+Along a one-value 0-cell, a horizontal composite builds one component per
+distinct pair of operand components and shares it wherever that pair
+recurs, so a step whiskered between a region's boundaries (whose
+identities the region holds) is built once, not once per pair of region
+values.
 
 Encodings are strict.  Tensor products are mixed-radix with the left factor
 as the high digit.  For horizontal composition, a composite cell keeps the
@@ -301,12 +302,8 @@ class TwoCell:
     components: tuple[tuple[Rel, ...], ...]
 
     def __post_init__(self) -> None:
-        components = self.components
-        if type(components) is not tuple or any(
-            type(row) is not tuple for row in components
-        ):
-            components = tuple(tuple(row) for row in components)
-            object.__setattr__(self, "components", components)
+        components = tuple(tuple(row) for row in self.components)
+        object.__setattr__(self, "components", components)
         if (
             self.domain.src.size != self.codomain.src.size
             or self.domain.dst.size != self.codomain.dst.size
@@ -317,10 +314,6 @@ class TwoCell:
         ):
             raise ShapeError("component matrix shape does not match the 0-cells")
         doms, cods = self.domain.sizes.tolist(), self.codomain.sizes.tolist()
-        if [[r.src.size for r in row] for row in components] == doms and [
-            [r.dst.size for r in row] for row in components
-        ] == cods:
-            return
         for t, row in enumerate(components):
             for s, rel in enumerate(row):
                 if rel.src.size != doms[t][s] or rel.dst.size != cods[t][s]:
@@ -404,30 +397,24 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     outer leg, and paths through different middle values are unrelated.
     The block at middle value t is the Kronecker product
     ``beta.component(u, t) (x) alpha.component(t, s)``; with a single
-    middle value that block is the whole component.  A block depends on
-    its two operand components alone, so each distinct pair of them is
-    built once per call and shared by every component it appears in.
+    middle value that block is the whole component, and depends on its two
+    operand components alone, so each distinct pair of them is built once
+    per call and shared by every component it appears in.
     """
     domain = hcompose_one(alpha.domain, beta.domain)
     codomain = hcompose_one(alpha.codomain, beta.codomain)
     mid = alpha.domain.dst.size
     doms, cods = domain.sizes.tolist(), codomain.sizes.tolist()
     sets = {n: FiniteSet(n) for n in set().union(*doms, *cods)}
-    blocks: dict[tuple[int, int], Rel | np.ndarray] = {}
-
-    def block(u: int, t: int, s: int) -> Rel | np.ndarray:
-        b, a = beta.component(u, t), alpha.component(t, s)
-        key = id(b), id(a)
-        if key not in blocks:
-            if mid == 1:
-                blocks[key] = _kron(b, a, sets[doms[u][s]], sets[cods[u][s]])
-            else:
-                blocks[key] = _materialise(_factors(b) + _factors(a))
-        return blocks[key]
+    blocks: dict[tuple[int, int], Rel] = {}
 
     def component(u: int, s: int) -> Rel:
         if mid == 1:
-            return block(u, 0, s)
+            b, a = beta.component(u, 0), alpha.component(0, s)
+            key = id(b), id(a)
+            if key not in blocks:
+                blocks[key] = _kron(b, a, sets[doms[u][s]], sets[cods[u][s]])
+            return blocks[key]
         dom, cod = doms[u][s], cods[u][s]
         bits = np.zeros((cod, dom), dtype=bool)
         if bits.size:
@@ -441,7 +428,9 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
             by_middle = np.zeros_like(bits)
             for t in np.flatnonzero(cols * rows).tolist():
                 runs = slice(row_at[t], row_at[t + 1]), slice(col_at[t], col_at[t + 1])
-                by_middle[runs] = block(u, t, s)
+                by_middle[runs] = _materialise(
+                    _factors(beta.component(u, t)) + _factors(alpha.component(t, s))
+                )
             row_order, col_order = (np.argsort(j, kind="stable") for j in (outs, ins))
             bits[row_order[:, None], col_order] = by_middle
         bits.setflags(write=False)

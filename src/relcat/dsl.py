@@ -538,7 +538,13 @@ class _Parser:
 
 
 def parse(text: str) -> SourceFile:
-    return _Parser(_tokenize(text)).parse_file()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        # a level costs about five frames, so an accepted file needs about
+        # 500 of them; a caller with less headroom is refused, not crashed
+        raise parser.fail("terms nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,6 @@ class _PairLabels:
         return tuple(f"({x},{y})" for x in self.a.labels for y in self.b.labels)
 
 
-_BOOL = np.dtype(bool)
-
-
 class Rel:
     """A binary relation ``src -> dst``.
 
@@ -183,11 +180,8 @@ class Rel:
     __slots__ = ("src", "dst", "bits")
 
     def __init__(self, src: SetLike, dst: SetLike, bits: np.ndarray):
-        # nearly every caller passes sets and a boolean array already
-        src = src if type(src) is FiniteSet else as_finite_set(src)
-        dst = dst if type(dst) is FiniteSet else as_finite_set(dst)
-        if type(bits) is not np.ndarray or bits.dtype is not _BOOL:
-            bits = np.asarray(bits, dtype=bool)
+        src, dst = as_finite_set(src), as_finite_set(dst)
+        bits = np.asarray(bits, dtype=bool)
         if bits.shape != (dst.size, src.size):
             raise ShapeError(
                 f"bit matrix has shape {bits.shape}, expected "

@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import sys
 
 import pytest
 
@@ -143,6 +144,24 @@ class TestParser:
         repr(tree)
         with pytest.raises(ParseError, match=r"^2:513: types nested too deeply"):
             parse(text.replace(": A * (", ": A * (A * (").replace(" -> 1", ") -> 1"))
+
+    def test_a_caller_without_stack_headroom_gets_a_parse_error(self):
+        # an accepted file takes about five frames per level; a caller that
+        # leaves fewer is refused with a located error, not a RecursionError
+        n = MAX_NESTING
+        text = f"set A = 1\ndef x = {'(' * n}id(A){')' * n}\n"
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert "terms nested too deeply" in str(info.value)
+        assert info.value.line == 2
 
     def test_precedence(self):
         sf = parse("set A = 2\ndef x = id(A) * id(A) ; id(A * A) . id(1)\n")
