@@ -5,13 +5,13 @@ arrow (`OneCell`) from S to T is a (|T| x |S|) matrix of finite sets, and a
 two-level arrow (`TwoCell`) between parallel one-cells is a matrix of
 relations acting fiberwise.  Two-cells compose vertically (fiberwise
 relational composition), horizontally (along a shared 0-cell, by a
-coproduct-of-products formula) and under tensor (Kronecker style); both
-build each component once, with `relations._kron`, the kernel of `product`.
-Along a one-value 0-cell, a horizontal composite builds one component per
-distinct pair of operand components and shares it wherever that pair
-recurs, so a step whiskered between a region's boundaries (whose
-identities the region holds) is built once, not once per pair of region
-values.
+coproduct-of-products formula) and under tensor (Kronecker style); this
+module computes their shapes and paths, and `relations` builds each
+component once.  Along a one-value 0-cell, a horizontal composite builds
+one component per distinct pair of operand components and shares it
+wherever that pair recurs, so a step whiskered between a region's
+boundaries (whose identities the region holds) is built once, not once
+per pair of region values.
 
 Encodings are strict.  Tensor products are mixed-radix with the left factor
 as the high digit.  For horizontal composition, a composite cell keeps the
@@ -41,9 +41,9 @@ from relcat.relations import (
     FiniteSet,
     Rel,
     ShapeError,
-    _factors,
-    _kron,
-    _materialise,
+    _first_difference,
+    _is_unit,
+    _kron_sum,
     as_finite_set,
     compose as compose_rel,
     identity as identity_rel,
@@ -396,10 +396,10 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     middle value: the alpha part acts on the inner leg, the beta part on the
     outer leg, and paths through different middle values are unrelated.
     The block at middle value t is the Kronecker product
-    ``beta.component(u, t) (x) alpha.component(t, s)``; with a single
-    middle value that block is the whole component, and depends on its two
-    operand components alone, so each distinct pair of them is built once
-    per call and shared by every component it appears in.
+    ``beta.component(u, t) (x) alpha.component(t, s)``, and
+    `relations._kron_sum` builds their direct sum.  With a single middle value,
+    each distinct pair of operand components is built once per call and
+    shared by every component it appears in.
     """
     domain = hcompose_one(alpha.domain, beta.domain)
     codomain = hcompose_one(alpha.codomain, beta.codomain)
@@ -409,32 +409,24 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
     blocks: dict[tuple[int, int], Rel] = {}
 
     def component(u: int, s: int) -> Rel:
-        if mid == 1:
+        if mid == 1:  # the component depends on its operand pair alone
             b, a = beta.component(u, 0), alpha.component(0, s)
             key = id(b), id(a)
             if key not in blocks:
-                blocks[key] = _kron(b, a, sets[doms[u][s]], sets[cods[u][s]])
-            return blocks[key]
-        dom, cod = doms[u][s], cods[u][s]
-        bits = np.zeros((cod, dom), dtype=bool)
-        if bits.size:
-            # sorted stably by middle value, the paths through t are a run
-            # in Kronecker order: each run's block goes into one
-            # middle-major matrix, which one scatter puts in path order
-            ins = _junctions(alpha.domain, beta.domain, u, s)
-            outs = _junctions(alpha.codomain, beta.codomain, u, s)
-            cols, rows = (np.bincount(j, minlength=mid) for j in (ins, outs))
-            col_at, row_at = ([0, *np.cumsum(n).tolist()] for n in (cols, rows))
-            by_middle = np.zeros_like(bits)
-            for t in np.flatnonzero(cols * rows).tolist():
-                runs = slice(row_at[t], row_at[t + 1]), slice(col_at[t], col_at[t + 1])
-                by_middle[runs] = _materialise(
-                    _factors(beta.component(u, t)) + _factors(alpha.component(t, s))
+                blocks[key] = _kron_sum(
+                    [(b, a)], sets[doms[u][s]], sets[cods[u][s]], None
                 )
-            row_order, col_order = (np.argsort(j, kind="stable") for j in (outs, ins))
-            bits[row_order[:, None], col_order] = by_middle
-        bits.setflags(write=False)
-        return Rel(sets[dom], sets[cod], bits)
+            return blocks[key]
+        return _kron_sum(
+            [(beta.component(u, t), alpha.component(t, s)) for t in range(mid)],
+            sets[doms[u][s]],
+            sets[cods[u][s]],
+            # bound as defaults, so that `u` and `s` stay plain locals here
+            lambda u=u, s=s: (
+                _junctions(alpha.codomain, beta.codomain, u, s),
+                _junctions(alpha.domain, beta.domain, u, s),
+            ),
+        )
 
     components = tuple(
         tuple(component(u, s) for s in range(domain.src.size))
@@ -486,7 +478,7 @@ def _is_unit_two_cell(a: TwoCell) -> bool:
     return (
         a.domain.is_monoidal_unit()
         and a.codomain.is_monoidal_unit()
-        and bool(a.component(0, 0).bits.all())
+        and _is_unit(a.component(0, 0))
     )
 
 
@@ -500,7 +492,7 @@ def tensor(a: TwoCell, b: TwoCell) -> TwoCell:
     # each component runs between the product fibers tensor_one made
     components = tuple(
         tuple(
-            _kron(x, y, domain.fiber(i, j), codomain.fiber(i, j))
+            _kron_sum([(x, y)], domain.fiber(i, j), codomain.fiber(i, j), None)
             for j, (x, y) in enumerate(itertools.product(row_a, row_b))
         )
         for i, (row_a, row_b) in enumerate(
@@ -584,10 +576,10 @@ def equal(a: TwoCell, b: TwoCell) -> EqualityResult:
         )
     for t in range(a.domain.dst.size):
         for s in range(a.domain.src.size):
-            x, y = a.component(t, s).bits, b.component(t, s).bits
-            if np.array_equal(x, y):
+            diff = _first_difference(a.component(t, s), b.component(t, s))
+            if diff is None:
                 continue
-            row, col = map(int, np.argwhere(x != y)[0])
+            row, col, lhs = diff
             dom = a.domain.fiber(t, s)
             cod = a.codomain.fiber(t, s)
             return EqualityResult(
@@ -598,8 +590,8 @@ def equal(a: TwoCell, b: TwoCell) -> EqualityResult:
                     s=s,
                     row=row,
                     col=col,
-                    lhs=bool(x[row, col]),
-                    rhs=bool(y[row, col]),
+                    lhs=lhs,
+                    rhs=not lhs,
                     row_label=cod.label(row) if cod.labels else None,
                     col_label=dom.label(col) if dom.labels else None,
                 ),

@@ -350,7 +350,7 @@ def _verify_dh_arguments(p: argparse.ArgumentParser) -> None:
         type=_integer,
         default=DEFAULT_DH_CAP,
         help="refuse larger primes (default %(default)s; the check at 19 "
-        "takes about a second)",
+        "takes about 0.4 s)",
     )
     _add_format(p)
 

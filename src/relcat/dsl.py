@@ -570,11 +570,8 @@ def _refuse_dense(bits: int, line: int, col: int) -> None:
 
 def _dense_bits(domain: OneCell, codomain: OneCell) -> int:
     """Bits in the component matrices of a two-cell between these one-cells."""
-    return sum(
-        a * b
-        for row_a, row_b in zip(domain.fiber_sizes(), codomain.fiber_sizes())
-        for a, b in zip(row_a, row_b)
-    )
+    sizes = zip(domain.sizes.ravel().tolist(), codomain.sizes.ravel().tolist())
+    return sum(a * b for a, b in sizes)
 
 
 @dataclass
@@ -789,6 +786,7 @@ def _term_pos(term: Term) -> tuple[int, int]:
 def elaborate(sf: SourceFile) -> Env:
     """Check declarations in order, building each cell at its statement."""
     env = Env()
+    kept, kept_bits = set(), 0  # the distinct cells in `env.cells`, by id
     for stmt in sf.statements:
         if isinstance(stmt, SetDecl):
             _declare(env, stmt.name, stmt)
@@ -832,6 +830,18 @@ def elaborate(sf: SourceFile) -> Env:
             env.checks.append(stmt)
         else:
             raise AssertionError(stmt)
+        # a kept cell lives until the file is done: charge each once
+        cell = env.cells.get(getattr(stmt, "name", None))
+        if cell is not None and id(cell) not in kept:
+            kept.add(id(cell))
+            kept_bits += _dense_bits(cell.domain, cell.codomain)
+            if kept_bits > MAX_DENSE_BITS:
+                raise ElaborationError(
+                    f"cells kept by the file total {dense_size(kept_bits)}, "
+                    f"over the limit of {MAX_DENSE_BITS}",
+                    stmt.line,
+                    stmt.col,
+                )
     return env
 
 

@@ -608,11 +608,16 @@ def instance_bits(p: int, k: int, c: int) -> int:
 def refuse_oversized(p: int, k: int, c: int) -> None:
     """Refuse sizes whose checks would build one matrix of more than
     `MAX_DENSE_BITS` bits (`instance_bits`)."""
-    bits = instance_bits(p, k, c)
+    _refuse_over_limit(
+        instance_bits(p, k, c), f"an instance of sizes {p}x{k}x{c} builds a matrix"
+    )
+
+
+def _refuse_over_limit(bits: int, checking: str) -> None:
     if bits > MAX_DENSE_BITS:
         raise ValueError(
-            f"checking an instance of sizes {p}x{k}x{c} builds a matrix "
-            f"of {dense_size(bits)}, over the limit of {MAX_DENSE_BITS}"
+            f"checking {checking} of {dense_size(bits)}, over the limit of "
+            f"{MAX_DENSE_BITS}"
         )
 
 
@@ -676,9 +681,18 @@ class DHInstance:
             raise ValueError(f"group order must be prime, got {self.group_order}")
 
 
+def _dh_bits(q: int) -> int:
+    """The bits of the largest cell a key exchange check of order q holds:
+    after each layer the left side holds a q⁴-bit state of four private
+    wires on each of q region values.  No matrix built is larger than q⁴
+    but products small enough to be built when made (`relations._kron`)."""
+    return q * max(q**4, relations._BOOL_MATMUL_MAX_WORK)
+
+
 def dh_instance(q: int, include_identity: bool = False) -> DHInstance:
     if not _is_prime(q):
         raise ValueError(f"group order must be prime, got {q}")
+    _refuse_over_limit(_dh_bits(q), f"key exchange over order {q} holds a cell")
     elements = FiniteSet(
         q, tuple("1" if i == 0 else "g" if i == 1 else f"g^{i}" for i in range(q))
     )

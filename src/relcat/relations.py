@@ -1,8 +1,10 @@
 """Finite sets and binary relations stored as boolean matrices.
 
 This is the scalar layer of the whole library: every higher construction
-eventually bottoms out in `compose`, `converse` and `_kron`, the one
-Kronecker kernel, which `product` and the cell layer call.
+eventually bottoms out in `compose`, `converse` and `_kron_sum`, the one
+component kernel.  It builds every component of a cell, a direct sum over
+middle values of Kronecker products; a single product is `_kron`, which
+`product` calls too.
 
 A relation is a dense boolean matrix, with one exception: a `product`
 whose dense form would have more than `_BOOL_MATMUL_MAX_WORK` cells keeps
@@ -458,16 +460,49 @@ def _kron(r: Rel, s: Rel, src: FiniteSet, dst: FiniteSet) -> Rel:
     if _is_unit(s):
         return r.retyped(src, dst)
     factors = _factors(r) + _factors(s)
-    cells = src.size * dst.size
-    if cells > _BOOL_MATMUL_MAX_WORK:
+    if src.size * dst.size > _BOOL_MATMUL_MAX_WORK:
         return _FactoredRel(src, dst, _Kronecker(factors))
-    if cells == 0:
-        return Rel(src, dst, np.zeros((dst.size, src.size), dtype=bool))
     return Rel(src, dst, _materialise(factors))
 
 
 def _factors(r: Rel) -> tuple[np.ndarray, ...]:
     return r.kron.factors if type(r) is _FactoredRel else (r.bits,)
+
+
+def _kron_sum(
+    pairs: list[tuple[Rel, Rel]], src: FiniteSet, dst: FiniteSet, junctions: Callable
+) -> Rel:
+    """The direct sum over middle values t of ``pairs[t][0] (x) pairs[t][1]``,
+    between sets the caller holds.  One pair is `_kron`.  Otherwise
+    ``junctions()`` gives the middle value of each row and column; sorted
+    stably by it, the rows and columns through t are a run in Kronecker
+    order, so each block is built from its operands' factors into one
+    middle-major matrix, which one scatter puts in the caller's order."""
+    if len(pairs) == 1:
+        return _kron(*pairs[0], src, dst)
+    bits = np.zeros((dst.size, src.size), dtype=bool)
+    if bits.size:
+        outs, ins = junctions()
+        rows, cols = (np.bincount(j, minlength=len(pairs)) for j in (outs, ins))
+        row_at, col_at = ([0, *np.cumsum(n).tolist()] for n in (rows, cols))
+        by_middle = np.zeros_like(bits)
+        for t in np.flatnonzero(rows * cols).tolist():
+            b, a = pairs[t]
+            runs = slice(row_at[t], row_at[t + 1]), slice(col_at[t], col_at[t + 1])
+            by_middle[runs] = _materialise(_factors(b) + _factors(a))
+        row_order, col_order = (np.argsort(j, kind="stable") for j in (outs, ins))
+        bits[row_order[:, None], col_order] = by_middle
+    bits.setflags(write=False)
+    return Rel(src, dst, bits)
+
+
+def _first_difference(r: Rel, s: Rel) -> Optional[tuple[int, int, bool]]:
+    """The first (row, column) where two relations of one shape differ, in
+    row-major order, and whether ``r`` holds it; None when they are equal."""
+    if np.array_equal(r.bits, s.bits):
+        return None
+    row, col = map(int, np.argwhere(r.bits != s.bits)[0])
+    return row, col, bool(r.bits[row, col])
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from relcat import protocols
 from relcat.generators import ControlledOp, cup_from_permutation
@@ -136,7 +137,7 @@ class SolutionRecord:
     encrypt_code: int
     decrypt_codes: tuple[int, ...]
     pad_mapping: tuple[int, ...]
-    verdicts: dict[str, bool] = field(compare=False)
+    verdicts: Mapping[str, bool] = field(compare=False)
     canonical: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
 
     def triple(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -336,6 +337,8 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
                 for pad in pads
             ]
 
+    # every record passes every constraint, so all share one read-only map
+    verdicts = MappingProxyType(dict.fromkeys(sorted(need), True))
     out: list[SolutionRecord] = []
     for e_rows in itertools.product(sorted(table), repeat=c):
         e_code = 0
@@ -346,7 +349,6 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
             for i in range(len(pads))
             for d_codes in itertools.product(*(table[r][i] for r in e_rows))
         ):
-            verdicts = {name: True for name in sorted(need)}
             out.append(SolutionRecord(
                 spec.sizes, e_code, d_codes, pads[i], verdicts
             ))

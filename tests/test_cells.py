@@ -278,7 +278,36 @@ class TestEqual:
 
 
 class TestOneKroneckerKernel:
-    """Components are made by `relations._kron` between sets already held."""
+    """Components are made by `relations._kron_sum` between sets already
+    held."""
+
+    def test_relations_builds_every_block_at_several_middles(self, monkeypatch):
+        # a recorder on relations._materialise sees each nonempty block of
+        # a region's scalar copy, whose two whiskers run through 3 values
+        from relcat.generators import scalar_copy
+
+        rs = region_structure(3)
+        first = hcompose_two(rs.id_left, rs.copy)
+        want = []
+        for alpha, beta in ((rs.id_left, rs.copy), (first, rs.id_right)):
+            assert alpha.domain.dst.size == 3
+            for u in range(beta.domain.dst.size):
+                for s in range(alpha.domain.src.size):
+                    for t in range(3):
+                        b, a = beta.component(u, t), alpha.component(t, s)
+                        shape = (b.dst.size * a.dst.size, b.src.size * a.src.size)
+                        if shape[0] * shape[1]:
+                            want.append(shape)
+        built, real = [], relations._materialise
+
+        def recording(factors):
+            out = real(factors)
+            built.append(out.shape)
+            return out
+
+        monkeypatch.setattr(relations, "_materialise", recording)
+        scalar_copy(rs)
+        assert want and sorted(built) == sorted(want)
 
     def test_identity_on_a_composite_is_each_fibers_identity(self, builder):
         for _ in range(30):

@@ -723,6 +723,11 @@ class TestTheorems:
         # charged c^3
         (["theorems", "--sizes", "1,2,3000", "--samples", "2"],
          "27000000000 dense bits (25.1 GiB)"),
+        # past the time cap, the first prime whose key exchange check is
+        # charged over 2^28: its left side holds 53^4 bits on each of 53
+        # region values (`protocols._dh_bits`)
+        (["verify-dh", "--prime", "53", "--max-prime", "53"],
+         "order 53 holds a cell of 418195493 dense bits (398.8 MiB)"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):

@@ -519,6 +519,19 @@ class TestChargeTable:
                 x = env.cells["x"]
                 assert charged[-1] == dsl._dense_bits(x.domain, x.codomain)
 
+    def test_a_file_is_charged_for_every_cell_it_keeps(self):
+        # four identities at |A| = 8000, 2.56e8 bits, are kept; a fifth
+        # passes the limit at its own statement.  A cell kept under a
+        # second name is charged once.
+        defs = "".join(f"def x{i} = id(A)\n" for i in range(1, 5))
+        text = f"set A = 8000\n{defs}def y = x4\ncheck x1 == y\n"
+        assert run_source(text).exit_code == 0
+        report = run_source(text.replace("def y", "def x5 = id(A)\ndef y"))
+        assert report.error == (
+            "6:1: cells kept by the file total 320000000 dense bits "
+            "(305.2 MiB), over the limit of 268435456"
+        )
+
     @pytest.mark.parametrize("call", BUILTIN_CALLS)
     def test_every_builtin_is_a_scalar(self, call):
         env = elaborate(parse(f"set A = 3\nset B = 2\nbuiltin x = {call}\n"))

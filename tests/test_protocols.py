@@ -518,6 +518,35 @@ class TestKeyExchange:
         assert verdict.holds == (erase and not include_identity)
         assert built and max(built) <= q**5
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_charge_is_the_largest_cell_held(self, record_built, q):
+        # the left side holds one q^4-bit state per region value, and no
+        # matrix built is larger than one value's share of the charge,
+        # which is exactly q^4 once that passes the dense-product limit
+        from relcat.protocols import _dh_bits, _dh_layers
+
+        share = _dh_bits(q) // q
+        for include_identity, erase in [(False, True), (True, True), (False, False)]:
+            dh = dh_instance(q, include_identity)
+            with record_built() as built:
+                rs = region_structure(dh.elements)
+                lhs, held = rs.copy, []
+                for layer in _dh_layers(dh, rs, erase):
+                    lhs = cells.vcompose(lhs, layer)
+                    rels = [r for row in lhs.components for r in row]
+                    held.append(sum(r.src.size * r.dst.size for r in rels))
+            assert max(built) <= share and max(held) <= _dh_bits(q)
+            if q**4 > relations._BOOL_MATMUL_MAX_WORK:
+                assert max(built) == share == q**4 and max(held) == q**5
+
+    def test_the_first_prime_refused_by_size_is_53(self):
+        from relcat.protocols import _dh_bits
+
+        assert _dh_bits(47) <= relations.MAX_DENSE_BITS < _dh_bits(53)
+        dh_instance(47)
+        with pytest.raises(ValueError, match="order 53 holds a cell of 418195493"):
+            dh_instance(53)
+
     def test_boundary_identities_are_built_once_per_check(self, monkeypatch):
         # two on the region's boundaries and one per wire, whatever the
         # number of layers whiskered between the boundaries
@@ -545,13 +574,13 @@ class TestKeyExchange:
 
         q, blocks = 7, []
 
-        def counted(*args, _build=cells._kron):
+        def counted(*args, _build=relations._kron):
             blocks.append(args)
             return _build(*args)
 
         rs = region_structure(FiniteSet(q))
         step = cells.tensor(cup_cell(canonical_cup(q)), cup_cell(canonical_cup(q)))
-        monkeypatch.setattr(cells, "_kron", counted)
+        monkeypatch.setattr(relations, "_kron", counted)
         cell = _in_zone(rs, step)
         assert len(blocks) <= 2
         # one relation, shared by all q x q components

@@ -86,6 +86,15 @@ class TestEnumerate:
     def test_golden_count(self, solutions_222):
         assert len(solutions_222) == GOLDEN_CORRECT_222
 
+    def test_records_share_one_read_only_verdicts_map(self, solutions_222):
+        # one map per run; `--dedup` gives each representative its own copy
+        assert len({id(r.verdicts) for r in solutions_222}) == 1
+        with pytest.raises(TypeError):
+            solutions_222[0].verdicts["correctness"] = False
+        kept = dedup_records(solutions_222)
+        assert all(type(r.verdicts) is dict for r in kept)
+        assert len({id(r.verdicts) for r in kept}) == len(kept) > 1
+
     def test_oracle_agreement_byte_for_byte(self, solutions_222):
         oracle = oracle_naive.enumerate_triples(2, 2, 2, ("correctness",))
         assert [r.triple() for r in solutions_222] == oracle
