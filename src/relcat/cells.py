@@ -6,12 +6,12 @@ two-level arrow (`TwoCell`) between parallel one-cells is a matrix of
 relations acting fiberwise.  Two-cells compose vertically (fiberwise
 relational composition), horizontally (along a shared 0-cell, by a
 coproduct-of-products formula) and under tensor (Kronecker style); this
-module computes their shapes and paths, and `relations` builds each
-component once.  Along a one-value 0-cell, a horizontal composite builds
-one component per distinct pair of operand components and shares it
-wherever that pair recurs, so a step whiskered between a region's
-boundaries (whose identities the region holds) is built once, not once
-per pair of region values.
+module computes their shapes and paths, `relations` builds each component
+once, and the cell is stored without the public checks (`TwoCell._derived`).
+Along a one-value 0-cell, a horizontal composite builds one component per
+distinct pair of operand components and shares it wherever that pair
+recurs, so a step whiskered between a region's boundaries (whose
+identities the region holds) is the step's own relation at every pair.
 
 Encodings are strict.  Tensor products are mixed-radix with the left factor
 as the high digit.  For horizontal composition, a composite cell keeps the
@@ -323,6 +323,16 @@ class TwoCell:
                         f"{doms[t][s]}->{cods[t][s]}"
                     )
 
+    @classmethod
+    def _derived(cls, domain, codomain, components) -> TwoCell:
+        """A cell whose components were built along its one-cells' shape,
+        stored without the public checks."""
+        cell = cls.__new__(cls)
+        object.__setattr__(cell, "domain", domain)
+        object.__setattr__(cell, "codomain", codomain)
+        object.__setattr__(cell, "components", components)
+        return cell
+
     def component(self, t: int, s: int) -> Rel:
         return self.components[t][s]
 
@@ -344,7 +354,7 @@ def identity_two_cell(a: OneCell) -> TwoCell:
     its fibers; the fibers of a composite are not made."""
     fibers = a._fibers if isinstance(a._fibers, tuple) else a.sizes.tolist()
     shared = {f: identity_rel(f) for f in set().union(*fibers)}
-    return TwoCell(a, a, tuple(tuple(shared[f] for f in row) for row in fibers))
+    return TwoCell._derived(a, a, tuple(tuple(map(shared.get, r)) for r in fibers))
 
 
 def vcompose(a: TwoCell, b: TwoCell) -> TwoCell:
@@ -361,7 +371,7 @@ def vcompose(a: TwoCell, b: TwoCell) -> TwoCell:
         )
         for t in range(a.domain.dst.size)
     )
-    return TwoCell(a.domain, b.codomain, components)
+    return TwoCell._derived(a.domain, b.codomain, components)
 
 
 def vcompose_many(first: TwoCell, *rest: TwoCell) -> TwoCell:
@@ -432,7 +442,7 @@ def hcompose_two(alpha: TwoCell, beta: TwoCell) -> TwoCell:
         tuple(component(u, s) for s in range(domain.src.size))
         for u in range(domain.dst.size)
     )
-    return TwoCell(domain, codomain, components)
+    return TwoCell._derived(domain, codomain, components)
 
 
 def _junctions(a_cell: OneCell, b_cell: OneCell, u: int, s: int) -> np.ndarray:
@@ -489,7 +499,7 @@ def tensor(a: TwoCell, b: TwoCell) -> TwoCell:
         return b
     domain = tensor_one(a.domain, b.domain)
     codomain = tensor_one(a.codomain, b.codomain)
-    # each component runs between the product fibers tensor_one made
+    # each component is its pair's product, or beside a unit the other one
     components = tuple(
         tuple(
             _kron_sum([(x, y)], domain.fiber(i, j), codomain.fiber(i, j), None)
@@ -499,7 +509,7 @@ def tensor(a: TwoCell, b: TwoCell) -> TwoCell:
             itertools.product(a.components, b.components)
         )
     )
-    return TwoCell(domain, codomain, components)
+    return TwoCell._derived(domain, codomain, components)
 
 
 def tensor_many(first: TwoCell, *rest: TwoCell) -> TwoCell:

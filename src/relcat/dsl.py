@@ -40,9 +40,10 @@ is spliced in, so ``(a ; b) ; c`` and ``a ; b ; c`` are the same tree.
 At most `MAX_NESTING` parentheses may be open at once, in terms and types
 together; a deeper file is refused at the parenthesis that opens the
 extra level.
-`elaborate` builds each cell once, at its statement: `evaluate` types a
-composite from its operands' cells and refuses it by its dense size before
-building it.  A check compares two built cells by name.
+`elaborate` builds each cell once, at its statement.  Every build is
+charged its dense size before it is made, alone and with the cells the
+file keeps: `evaluate` types a composite from its operands' cells first.
+A check compares two built cells by name.
 
 Every cell the language can express is a scalar: a two-cell between
 one-cells from the one-element 0-cell to itself, in which a region appears
@@ -584,6 +585,24 @@ class Env:
     label_index: dict[FiniteSet, dict[str, int]] = field(
         default_factory=dict, repr=False
     )
+    # the bits of the distinct cells in `cells`, and where the statement
+    # being elaborated starts: each build is charged with them
+    kept_bits: int = 0
+    statement: tuple[int, int] = (0, 0)
+
+
+def _charge(env: Env, bits: int, line: int, col: int) -> None:
+    """Refuse a build of `bits` before it is made: alone over the limit,
+    at (line, col), or together with the cells the file keeps, at the
+    statement."""
+    _refuse_dense(bits, line, col)
+    total = env.kept_bits + bits
+    if total > MAX_DENSE_BITS:
+        raise ElaborationError(
+            f"cells kept by the file total {dense_size(total)}, "
+            f"over the limit of {MAX_DENSE_BITS}",
+            *env.statement,
+        )
 
 
 def _flatten_type(env: Env, t: TypeExpr) -> list[FiniteSet]:
@@ -655,7 +674,7 @@ def _build_rel(
 ) -> Rel:
     """The relation `data` between types with these factors."""
     src, dst = _fiber(dom), _fiber(cod)
-    _refuse_dense(src.size * dst.size, where.line, where.col)
+    _charge(env, src.size * dst.size, where.line, where.col)
     pairs = [
         (_encode_tuple(env, dom, a, where), _encode_tuple(env, cod, b, where))
         for a, b in data
@@ -697,11 +716,8 @@ def _builtin_binding(
     if op == "controlled":
         public, in_set, out_set = map(_fiber, factors)
         n = public.size
-        _refuse_dense(
-            max(n**_REGION_BITS_EXPONENT, n * n * in_set.size * out_set.size),
-            call.line,
-            call.col,
-        )
+        bits = max(n**_REGION_BITS_EXPONENT, n * n * in_set.size * out_set.size)
+        _charge(env, bits, call.line, call.col)
         by_value: dict[int, Rel] = {}
         for key, data in call.blocks:
             v = _resolve_elem(env, public, key, call)
@@ -724,7 +740,7 @@ def _builtin_binding(
         return controlled_scalar(op_data), op_data
     exponent, build = _BUILTINS[op]
     fiber = _fiber(factors[0])
-    _refuse_dense(fiber.size**exponent, call.line, call.col)
+    _charge(env, fiber.size**exponent, call.line, call.col)
     return build(factors[0], fiber), None
 
 
@@ -762,15 +778,12 @@ def evaluate(env: Env, term: Term) -> TwoCell:
                     f"{_describe(right.domain)}",
                     *_term_pos(operand),
                 )
-            _refuse_dense(_dense_bits(left.domain, right.codomain), *where)
+            _charge(env, _dense_bits(left.domain, right.codomain), *where)
             cell = vcompose(left, right)
         else:
             # each component is a product of one from each side
-            _refuse_dense(
-                _dense_bits(left.domain, left.codomain)
-                * _dense_bits(right.domain, right.codomain),
-                *where,
-            )
+            bits = _dense_bits(left.domain, left.codomain)
+            _charge(env, bits * _dense_bits(right.domain, right.codomain), *where)
             # `.` applies its right operand first
             cell = hcompose_two(right, left) if term.op == "." else tensor(left, right)
     return cell
@@ -786,8 +799,9 @@ def _term_pos(term: Term) -> tuple[int, int]:
 def elaborate(sf: SourceFile) -> Env:
     """Check declarations in order, building each cell at its statement."""
     env = Env()
-    kept, kept_bits = set(), 0  # the distinct cells in `env.cells`, by id
+    kept = set()  # the distinct cells in `env.cells`, by id
     for stmt in sf.statements:
+        env.statement = (stmt.line, stmt.col)
         if isinstance(stmt, SetDecl):
             _declare(env, stmt.name, stmt)
             try:
@@ -830,18 +844,12 @@ def elaborate(sf: SourceFile) -> Env:
             env.checks.append(stmt)
         else:
             raise AssertionError(stmt)
-        # a kept cell lives until the file is done: charge each once
+        # a kept cell lives until the file is done: count each once.  It
+        # was charged at least its bits with those kept before it.
         cell = env.cells.get(getattr(stmt, "name", None))
         if cell is not None and id(cell) not in kept:
             kept.add(id(cell))
-            kept_bits += _dense_bits(cell.domain, cell.codomain)
-            if kept_bits > MAX_DENSE_BITS:
-                raise ElaborationError(
-                    f"cells kept by the file total {dense_size(kept_bits)}, "
-                    f"over the limit of {MAX_DENSE_BITS}",
-                    stmt.line,
-                    stmt.col,
-                )
+            env.kept_bits += _dense_bits(cell.domain, cell.codomain)
     return env
 
 

@@ -690,9 +690,10 @@ def _dh_bits(q: int) -> int:
 
 
 def dh_instance(q: int, include_identity: bool = False) -> DHInstance:
+    # the size first: the primality test tries up to √q divisions
+    _refuse_over_limit(_dh_bits(q), f"key exchange over order {q} holds a cell")
     if not _is_prime(q):
         raise ValueError(f"group order must be prime, got {q}")
-    _refuse_over_limit(_dh_bits(q), f"key exchange over order {q} holds a cell")
     elements = FiniteSet(
         q, tuple("1" if i == 0 else "g" if i == 1 else f"g^{i}" for i in range(q))
     )

@@ -13,8 +13,8 @@ relation before it one factor axis at a time, as a state-vector simulator
 applies a gate, whenever that takes fewer multiply-adds than the dense
 product would; it takes the columns of that relation in chunks, so that
 no intermediate state has more than `_CONTRACT_MAX_STATE` entries.  Any
-other reader of its `bits` builds the dense form, once; retyped copies
-share it.
+other reader of its `bits` builds the dense form, once.  Beside a unit
+factor a product is the other factor itself, so it is never copied.
 """
 
 from __future__ import annotations
@@ -199,10 +199,6 @@ class Rel:
     def __setattr__(self, name, value):
         raise AttributeError("Rel is immutable")
 
-    def retyped(self, src: SetLike, dst: SetLike) -> Rel:
-        """The same bits between other sets of the same sizes."""
-        return Rel(src, dst, self.bits)
-
     def pairs(self) -> list[tuple[int, int]]:
         """Related (source, target) pairs in row-major deterministic order."""
         out = [(int(a), int(b)) for b, a in np.argwhere(self.bits)]
@@ -294,46 +290,23 @@ def dense_size(bits: int) -> str:
     return f"{bits} dense bits ({tenths // 10}.{tenths % 10} {unit})"
 
 
-class _Kronecker:
-    """The factors of one Kronecker product, and its dense form once built.
-
-    Every factor is a read-only boolean matrix, none of them the 1x1 unit.
-    One instance is shared by a product and all of its retyped copies, so
-    the dense form is built at most once.
-    """
+class _FactoredRel(Rel):
+    """A relation held as a Kronecker product of read-only boolean factors,
+    none of them the 1x1 unit; `bits` builds its dense form on first read."""
 
     __slots__ = ("factors", "dense")
 
-    def __init__(self, factors: tuple[np.ndarray, ...]):
-        self.factors = factors
-        self.dense: Optional[np.ndarray] = None
-
-
-class _FactoredRel(Rel):
-    """A relation held as a Kronecker product; `bits` builds it on first read."""
-
-    __slots__ = ("kron",)
-
-    def __init__(self, src: FiniteSet, dst: FiniteSet, kron: _Kronecker):
+    def __init__(self, src: FiniteSet, dst: FiniteSet, factors: tuple):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "kron", kron)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "dense", None)
 
     @property
     def bits(self) -> np.ndarray:
-        kron = self.kron
-        if kron.dense is None:
-            kron.dense = _materialise(kron.factors)
-        return kron.dense
-
-    def retyped(self, src: SetLike, dst: SetLike) -> Rel:
-        src, dst = as_finite_set(src), as_finite_set(dst)
-        if (src.size, dst.size) != (self.src.size, self.dst.size):
-            raise ShapeError(
-                f"cannot retype a {self.src.size}->{self.dst.size} relation "
-                f"as {src.size}->{dst.size}"
-            )
-        return _FactoredRel(src, dst, self.kron)
+        if self.dense is None:
+            object.__setattr__(self, "dense", _materialise(self.factors))
+        return self.dense
 
 
 def _materialise(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -418,11 +391,11 @@ def compose(r: Rel, s: Rel) -> Rel:
         bits = np.zeros((s.dst.size, 0), dtype=bool)
     elif (
         type(s) is _FactoredRel
-        and s.kron.dense is None
-        and _contraction_work(s.kron.factors, r.src.size)
+        and s.dense is None
+        and _contraction_work(s.factors, r.src.size)
         < s.src.size * s.dst.size * r.src.size
     ):
-        bits = _contract(s.kron.factors, r.bits)
+        bits = _contract(s.factors, r.bits)
     elif r.src.size == 1:
         bits = s.bits[:, r.bits[:, 0]].any(axis=1, keepdims=True)
     elif s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
@@ -443,7 +416,8 @@ def _is_unit(r: Rel) -> bool:
 
 def product(r: Rel, s: Rel) -> Rel:
     """Pairwise product: ``((a,c),(b,d))`` holds iff ``(a,b)`` and ``(c,d)`` do,
-    between the product sets, mixed-radix with the left factor high."""
+    between the product sets, mixed-radix with the left factor high.  Beside
+    the full relation on one element it is the other relation itself."""
     return _kron(r, s, product_set(r.src, s.src), product_set(r.dst, s.dst))
 
 
@@ -451,22 +425,23 @@ def _kron(r: Rel, s: Rel, src: FiniteSet, dst: FiniteSet) -> Rel:
     """``r (x) s``, left factor high, between sets the caller holds.
 
     A factor that is the full relation on one element is a unit: the other
-    factor is retyped, sharing its bits or its factors.  Otherwise the
-    factor lists of ``r`` and ``s`` are joined; a result of more than
-    `_BOOL_MATMUL_MAX_WORK` cells keeps that list, a smaller one is built.
+    factor is returned itself, between its own sets of the same sizes.
+    Otherwise the factor lists of ``r`` and ``s`` are joined; a result of
+    more than `_BOOL_MATMUL_MAX_WORK` cells keeps that list, a smaller one
+    is built.
     """
     if _is_unit(r):
-        return s.retyped(src, dst)
+        return s
     if _is_unit(s):
-        return r.retyped(src, dst)
+        return r
     factors = _factors(r) + _factors(s)
     if src.size * dst.size > _BOOL_MATMUL_MAX_WORK:
-        return _FactoredRel(src, dst, _Kronecker(factors))
+        return _FactoredRel(src, dst, factors)
     return Rel(src, dst, _materialise(factors))
 
 
 def _factors(r: Rel) -> tuple[np.ndarray, ...]:
-    return r.kron.factors if type(r) is _FactoredRel else (r.bits,)
+    return r.factors if type(r) is _FactoredRel else (r.bits,)
 
 
 def _kron_sum(

@@ -60,6 +60,28 @@ class CellBuilder:
         return self.two_cell(domain.src, domain.dst, domain)
 
 
+@pytest.fixture(autouse=True)
+def recheck_derived(request):
+    """Run the public checks of `TwoCell` on every cell that the library
+    stores unchecked, in every test but those marked ``unchecked``.  Its
+    own patch, so that a test's `monkeypatch.undo()` keeps it."""
+    if request.node.get_closest_marker("unchecked"):
+        yield
+        return
+    derived = TwoCell._derived
+
+    def checked(domain, codomain, components):
+        assert type(components) is tuple
+        assert all(type(row) is tuple for row in components)
+        cell = derived(domain, codomain, components)
+        TwoCell.__post_init__(cell)
+        return cell
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TwoCell, "_derived", staticmethod(checked))
+        yield
+
+
 @pytest.fixture
 def builder() -> CellBuilder:
     return CellBuilder(seed=20240811)

@@ -277,6 +277,27 @@ class TestEqual:
         assert not res.equal and res.difference.kind == "shape"
 
 
+@pytest.mark.unchecked
+def test_composites_skip_the_public_checks(builder, monkeypatch):
+    checked, check = [], TwoCell.__post_init__
+
+    def counted(cell):
+        checked.append(cell)
+        check(cell)
+
+    for _ in range(10):
+        s, t, u = (builder.finite_set(1) for _ in range(3))
+        alpha, beta = builder.two_cell(s, t), builder.two_cell(t, u)
+        gamma = builder.two_cell_from(alpha.codomain)
+        with monkeypatch.context() as patch:
+            patch.setattr(TwoCell, "__post_init__", counted)
+            vcompose(alpha, gamma)
+            hcompose_two(alpha, beta)
+            tensor(alpha, beta)
+            identity_two_cell(hcompose_one(alpha.domain, beta.domain))
+    assert checked == []
+
+
 class TestOneKroneckerKernel:
     """Components are made by `relations._kron_sum` between sets already
     held."""
@@ -347,6 +368,13 @@ class TestOneKroneckerKernel:
         assert (diff.t, diff.s) == (0, 0)
         assert (diff.col_label, diff.row_label) == ("a0", "a1")
         assert lhs.component(0, 0).src.labels is None
+
+    def test_a_whiskered_step_is_the_steps_own_relation(self):
+        # the boundary identities are units, so no component is a copy
+        x, _ = self._labelled_pair()
+        cell = protocols._in_zone(region_structure(3), x)
+        assert cell.domain.sizes.shape == (3, 3)
+        assert all(c is x.component(0, 0) for row in cell.components for c in row)
 
     def test_components_make_no_product_sets(self, builder, monkeypatch):
         calls = []

@@ -728,6 +728,9 @@ class TestTheorems:
         # region values (`protocols._dh_bits`)
         (["verify-dh", "--prime", "53", "--max-prime", "53"],
          "order 53 holds a cell of 418195493 dense bits (398.8 MiB)"),
+        # charged before the primality test, which would try 3.2e7 divisors
+        (["verify-dh", "--prime", "1000000000000037",
+          "--max-prime", "1000000000000037"], "order 1000000000000037 holds a cell"),
     ],
 )
 def test_oversized_input_is_refused_at_once(capsys, monkeypatch, argv, message):
@@ -811,7 +814,7 @@ def test_each_call_builds_its_own_parser(capsys, monkeypatch):
 
 class TestConsoleScript:
     @staticmethod
-    def _start(argv):
+    def _start(argv, **environ):
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         # default stdout buffering, so small outputs reach the pipe only
         # when the command flushes
@@ -819,6 +822,7 @@ class TestConsoleScript:
         env["PYTHONPATH"] = os.pathsep.join(
             [src, *filter(None, [env.get("PYTHONPATH")])]
         )
+        env.update(environ)
         return subprocess.Popen(
             [sys.executable, "-m", "relcat.cli", *argv],
             stdout=subprocess.PIPE,
@@ -826,13 +830,32 @@ class TestConsoleScript:
             env=env,
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", data("otp_broken_decryption.rcat")],
+            ["verify-otp", "--file", data("otp_labelled_extra_decryption.rcat"),
+             "--format", "json"],
+            ["verify-otp", "--group", "5", "--format", "json"],
+            ["verify-dh", "--prime", "5", "--include-identity"],
+            ["enumerate", "--sizes", "2,2,2", "--dedup"],
+            ["theorems", "--sizes", "1,2,2"],
+        ],
+    )
+    def test_output_is_the_same_under_every_hash_seed(self, argv):
+        # no verdict, witness or refusal may follow the order of a set
+        procs = [self._start(argv, PYTHONHASHSEED=seed) for seed in "01"]
+        (out, err, code), other = ((*p.communicate(), p.returncode) for p in procs)
+        assert out and (out, err, code) == other
+
     def test_closed_pipe_after_first_line(self):
         # like `relcat enumerate --sizes 2,3,2 | head -1`: 13,824 records
         # overflow the pipe, so a write fails while the command runs
         proc = self._start(["enumerate", "--sizes", "2,3,2"])
         first = proc.stdout.readline()
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         assert proc.wait() == 1
         assert json.loads(first)["sizes"] == [2, 3, 2]
         assert err == b""
@@ -842,7 +865,8 @@ class TestConsoleScript:
         # the final flush
         proc = self._start(["enumerate", "--sizes", "1,1,1"])
         proc.stdout.close()
-        err = proc.stderr.read()
+        with proc.stderr:
+            err = proc.stderr.read()
         assert proc.wait() == 1
         assert err == b""
 

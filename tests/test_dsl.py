@@ -532,6 +532,32 @@ class TestChargeTable:
             "(305.2 MiB), over the limit of 268435456"
         )
 
+    @pytest.mark.parametrize(
+        "fifth",
+        ["def x5 = id(A)", "def x5 = x1 ; x2 ; x3", "gen x5 : A -> A = {}"],
+    )
+    def test_a_refused_statement_builds_nothing(self, monkeypatch, record_built, fifth):
+        # under a limit of 300 bits, four 8 x 8 identities are kept and a
+        # fifth cell of 64 bits is refused before anything of it is built
+        monkeypatch.setattr(dsl, "MAX_DENSE_BITS", 300)
+        kept = "set A = 8\n" + "".join(f"def x{i} = id(A)\n" for i in range(1, 5))
+        with record_built() as before:
+            elaborate(parse(kept))
+        with record_built() as built, pytest.raises(ElaborationError) as info:
+            elaborate(parse(f"{kept}{fifth}\n"))
+        assert str(info.value) == (
+            "6:1: cells kept by the file total 320 dense bits (320.0 B), "
+            "over the limit of 300"
+        )
+        assert built == before
+
+    @pytest.mark.parametrize("call", BUILTIN_CALLS)
+    def test_every_builtin_is_charged_at_least_its_cell(self, monkeypatch, call):
+        # so a cell that is kept was charged with the cells kept before it
+        charged = self.charges(monkeypatch)
+        x = elaborate(parse(f"set A = 3\nset B = 2\nbuiltin x = {call}\n")).cells["x"]
+        assert charged[0] >= dsl._dense_bits(x.domain, x.codomain)
+
     @pytest.mark.parametrize("call", BUILTIN_CALLS)
     def test_every_builtin_is_a_scalar(self, call):
         env = elaborate(parse(f"set A = 3\nset B = 2\nbuiltin x = {call}\n"))
@@ -610,9 +636,8 @@ class TestCheckEquation:
         assert len(calls) == 1
 
     def test_unequal_with_witness(self):
-        report = run_source(
-            open(os.path.join(DATA_DIR, "otp_broken_decryption.rcat")).read()
-        )
+        with open(os.path.join(DATA_DIR, "otp_broken_decryption.rcat")) as handle:
+            report = run_source(handle.read())
         assert report.exit_code == 1
         assert report.checks[0].verdict == "unequal"
         assert "pair" in report.checks[0].detail
@@ -764,7 +789,6 @@ class TestOracleAgreement:
             ),
             inst.pad,
         )
-        report = run_source(
-            open(os.path.join(DATA_DIR, "otp_broken_decryption.rcat")).read()
-        )
+        with open(os.path.join(DATA_DIR, "otp_broken_decryption.rcat")) as handle:
+            report = run_source(handle.read())
         assert (report.exit_code == 0) == check_correctness(broken).holds

@@ -302,7 +302,7 @@ class TestFactoredProduct:
             contracts = (
                 factored
                 and m > 0
-                and relations._contraction_work(s.kron.factors, m)
+                and relations._contraction_work(s.factors, m)
                 < s.src.size * s.dst.size * m
             )
             event(f"factored={factored} contracts={contracts} m={m}")
@@ -311,7 +311,7 @@ class TestFactoredProduct:
             got = compose(r, s)
             if factored:
                 stays_unbuilt = not built and (m == 0 or contracts)
-                assert (s.kron.dense is None) == stays_unbuilt
+                assert (s.dense is None) == stays_unbuilt
         want = (want_s.astype(np.int64) @ r.bits.astype(np.int64)) > 0
         assert (got.src.size, got.dst.size) == (m, s.dst.size)
         assert np.array_equal(got.bits, want)
@@ -322,17 +322,17 @@ class TestFactoredProduct:
         leaf = Rel(4, 3, np.arange(12).reshape(3, 4) % 3 == 0)
         s = product(product(leaf, leaf), product(leaf, leaf))
         assert type(s) is relations._FactoredRel
-        assert [f.shape for f in s.kron.factors] == [(9, 16), (9, 16)]
+        assert [f.shape for f in s.factors] == [(9, 16), (9, 16)]
         state = Rel(1, 256, np.arange(256).reshape(256, 1) % 7 == 0)
         assert compose(state, s).bits.shape == (81, 1)
-        assert s.kron.dense is None  # a state is contracted axis by axis
+        assert s.dense is None  # a state is contracted axis by axis
         wide = Rel(256, 256, np.eye(256, dtype=bool))
         got = compose(wide, s)  # 0.9 M multiply-adds against 5.3 M dense
-        assert s.kron.dense is None
+        assert s.dense is None
         assert got == s  # reading the product whole builds it
-        assert s.kron.dense is not None
+        assert s.dense is not None
         unit = full(1, 1)
-        for copy in (product(unit, s), product(s, unit), s.retyped(256, 81)):
+        for copy in (product(unit, s), product(s, unit)):
             assert copy.bits is s.bits
 
     @pytest.mark.parametrize("limit", [1, 7, 64])
@@ -350,7 +350,7 @@ class TestFactoredProduct:
             s = product(product(x, y), z)
             r = Rel(9, s.src.size, rng.random((s.src.size, 9)) < 0.4)
             contracted = compose(r, s)
-            assert s.kron.dense is None
+            assert s.dense is None
             dense = compose(r, Rel(s.src, s.dst, want_s))
         want = (want_s.astype(np.int64) @ r.bits.astype(np.int64)) > 0
         assert np.array_equal(contracted.bits, want)
@@ -376,14 +376,7 @@ class TestFactoredProduct:
         assert type(s) is relations._FactoredRel
         got = compose(empty(0, s.src.size), s)
         assert (got.src.size, got.dst.size) == (0, 4900)
-        assert s.kron.dense is None
-
-    def test_retyped_keeps_sizes(self):
-        s = product(identity(70), identity(70))
-        with pytest.raises(ShapeError):
-            s.retyped(4900, 4899)
-        with pytest.raises(ShapeError):
-            identity(3).retyped(3, 2)
+        assert s.dense is None
 
 
 class TestKron:
@@ -401,23 +394,21 @@ class TestKron:
             src = FiniteSet(r.src.size * s.src.size)
             dst = FiniteSet(r.dst.size * s.dst.size)
             got, want = relations._kron(r, s, src, dst), product(r, s)
-        assert got.src is src and got.dst is dst
         factored = type(got) is relations._FactoredRel
         event(f"factored={factored} r={type(r).__name__} s={type(s).__name__}")
         assert factored == (type(want) is relations._FactoredRel)
-        # beside a unit, the other operand is shared as it is
+        # beside a unit, the result is the other operand itself
         other = next(
             (other for one, other in ((r, s), (s, r)) if relations._is_unit(one)),
             None,
         )
         if other is None:
+            assert got.src is src and got.dst is dst
             assert factored == (src.size * dst.size > limit)
             if factored:
-                assert got.kron.factors == relations._factors(r) + relations._factors(s)
-        elif type(other) is relations._FactoredRel:
-            assert got.kron is other.kron
+                assert got.factors == relations._factors(r) + relations._factors(s)
         else:
-            assert got.bits is other.bits
+            assert got is other and want is other
         assert np.array_equal(got.bits, want.bits)
         assert np.array_equal(got.bits, np.kron(want_r, want_s).astype(bool))
 
