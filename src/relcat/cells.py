@@ -46,6 +46,7 @@ from relcat.relations import (
     _kron_sum,
     as_finite_set,
     compose as compose_rel,
+    empty as empty_rel,
     identity as identity_rel,
     product_set,
 )
@@ -358,17 +359,30 @@ def identity_two_cell(a: OneCell) -> TwoCell:
 
 
 def vcompose(a: TwoCell, b: TwoCell) -> TwoCell:
-    """Componentwise relational composition: first a, then b."""
+    """Componentwise relational composition: first a, then b.
+
+    A component whose domain or codomain fiber is empty is the empty
+    relation of its shape, whatever the operands hold; one is built per
+    distinct shape, and nothing is composed for it.
+    """
     if not one_cells_parallel(a.codomain, b.domain):
         raise ShapeError(
             "vertical composition: codomain of first stage does not match "
             "domain of second"
         )
+    doms, cods = a.domain.sizes.tolist(), b.codomain.sizes.tolist()
+    empties: dict[tuple[int, int], Rel] = {}
+
+    def component(t: int, s: int) -> Rel:
+        shape = doms[t][s], cods[t][s]
+        if all(shape):
+            return compose_rel(a.component(t, s), b.component(t, s))
+        if shape not in empties:
+            empties[shape] = empty_rel(*shape)
+        return empties[shape]
+
     components = tuple(
-        tuple(
-            compose_rel(a.component(t, s), b.component(t, s))
-            for s in range(a.domain.src.size)
-        )
+        tuple(component(t, s) for s in range(a.domain.src.size))
         for t in range(a.domain.dst.size)
     )
     return TwoCell._derived(a.domain, b.codomain, components)

@@ -255,9 +255,10 @@ class RegionStructure:
     four generators are the units and counits of the two adjunctions between
     them; ``publish`` and ``sample`` convert between a private wire carrying
     the region's value set and the region itself.  ``id_left`` and
-    ``id_right``, the identity two-cells on the boundaries, are built when
-    first read and kept, so every step whiskered between the boundaries
-    reads the same two cells.
+    ``id_right``, the identity two-cells on the boundaries, and the bubble
+    with its identity, ``bubble`` and ``id_bubble``, are built when first
+    read and kept, so every step whiskered between the boundaries reads
+    the same cells.
     """
 
     carrier: FiniteSet
@@ -277,6 +278,14 @@ class RegionStructure:
     @functools.cached_property
     def id_right(self) -> TwoCell:
         return identity_two_cell(self.boundary_right)
+
+    @functools.cached_property
+    def bubble(self) -> OneCell:
+        return hcompose_one(self.boundary_left, self.boundary_right)
+
+    @functools.cached_property
+    def id_bubble(self) -> TwoCell:
+        return identity_two_cell(self.bubble)
 
 
 def _boundaries(s: FiniteSet) -> tuple[OneCell, OneCell]:

@@ -5,17 +5,19 @@ An encryption scheme here is a triple: an encryption relation from
 the public ciphertext, and a pad creation step (a duality cup on the key
 set) that nondeterministically hands matching keys to the two parties.
 Correctness and the security properties are equations between composite
-two-cells; each checker builds both sides concretely and compares them bit
-for bit, reporting a located witness on failure.  The statements depend on
-one another (the decryption inverse and secret sharing need a correct
-scheme, the rebuild needs the inverse, non-invertibility needs S1), so a
-`Verification` record decides each check of one instance at most once and
-reads its preconditions from the same record.
+two-cells; each checker builds both sides concretely, from the generator
+cells the instance keeps, and compares them bit for bit, reporting a
+located witness on failure.  The statements depend on one another (the
+decryption inverse and secret sharing need a correct scheme, the rebuild
+needs the inverse, non-invertibility needs S1), so a `Verification` record
+decides each check of one instance at most once and reads its
+preconditions from the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from relcat import relations
@@ -117,7 +119,14 @@ def _verdict(name: str, lhs: TwoCell, rhs: TwoCell) -> EquationVerdict:
 
 @dataclass(frozen=True)
 class ProtocolInstance:
-    """An encrypted-communication scheme over finite carriers."""
+    """An encrypted-communication scheme over finite carriers.
+
+    The instance holds its generator cells, and `sent`, the prefix that
+    correctness and S1 share.  Each is built when first read and kept, so
+    every check reads the same cells, and no cell is built that no check
+    reads.  The pad beside the plaintext wire, (p·k)² bits, is built
+    inside `sent` and not kept.
+    """
 
     plaintexts: FiniteSet
     keys: FiniteSet
@@ -140,6 +149,86 @@ class ProtocolInstance:
             raise ValueError("decryption must take keys to plaintexts")
         if self.pad.carrier.size != self.keys.size:
             raise ValueError("pad creation must live on the key set")
+
+    @cached_property
+    def region(self) -> RegionStructure:
+        return region_structure(self.ciphertexts)
+
+    @cached_property
+    def p_wire(self) -> TwoCell:
+        return wire_cell(self.plaintexts)
+
+    @cached_property
+    def k_wire(self) -> TwoCell:
+        return wire_cell(self.keys)
+
+    @cached_property
+    def pad_cell(self) -> TwoCell:
+        return cup_cell(self.pad)
+
+    @cached_property
+    def encrypt_cell(self) -> TwoCell:
+        return scalar_two_cell(self.encrypt)
+
+    @cached_property
+    def decrypt_cell(self) -> TwoCell:
+        return controlled_at_left_boundary(self.decrypt)
+
+    @cached_property
+    def receive(self) -> TwoCell:
+        """`controlled_scalar(decrypt)`, whiskered from `decrypt_cell`."""
+        return hcompose_two(self.decrypt_cell, self.region.id_right)
+
+    @cached_property
+    def create_keys(self) -> TwoCell:
+        return create_cell(self.keys)
+
+    @cached_property
+    def delete_keys(self) -> TwoCell:
+        return delete_cell(self.keys)
+
+    @cached_property
+    def create_plaintexts(self) -> TwoCell:
+        return create_cell(self.plaintexts)
+
+    @cached_property
+    def delete_plaintexts(self) -> TwoCell:
+        return delete_cell(self.plaintexts)
+
+    @cached_property
+    def cup_split(self) -> TwoCell:
+        """Pad creation with the two legs presented as separate wire factors."""
+        legs = hcompose_one(scalar_one_cell(self.keys), scalar_one_cell(self.keys))
+        return TwoCell(identity_one_cell(FiniteSet(1)), legs, ((self.pad.cup,),))
+
+    @cached_property
+    def enc_published_split(self) -> TwoCell:
+        """Encryption followed by publication, with the input wires presented
+        as separate factors (key to the right of the plaintext) and the
+        output presented as a region bubble."""
+        dom = hcompose_one(scalar_one_cell(self.keys), scalar_one_cell(self.plaintexts))
+        return TwoCell(dom, self.region.bubble, ((self.encrypt,),))
+
+    @cached_property
+    def fresh_region(self) -> TwoCell:
+        """A fresh public value beside the plaintext wire."""
+        return tensor(self.region.create_region, self.p_wire)
+
+    @cached_property
+    def forget_plaintext(self) -> TwoCell:
+        """The plaintext deleted, then a fresh public value: S1's and S2's
+        right side."""
+        return vcompose(self.delete_plaintexts, self.region.create_region)
+
+    @cached_property
+    def sent(self) -> TwoCell:
+        """Create the pad, encrypt with one leg and publish, carrying the
+        other leg along: the first three layers of correctness and S1."""
+        return vcompose_many(
+            tensor(self.p_wire, self.pad_cell),
+            tensor(self.encrypt_cell, self.k_wire),
+            tensor(self.region.publish, self.k_wire),
+        )
 
 
 def _labeled(prefix: str, n: int) -> FiniteSet:
@@ -188,36 +277,6 @@ def group_instance(n: int) -> ProtocolInstance:
 
 
 # ---------------------------------------------------------------------------
-# Cell presentations of the instance pieces.
-# ---------------------------------------------------------------------------
-
-
-def _enc_published_split(inst: ProtocolInstance) -> TwoCell:
-    """Encryption followed by publication, with the input wires presented
-    as separate factors (key to the right of the plaintext) and the output
-    presented as a region bubble."""
-    rs = region_structure(inst.ciphertexts)
-    dom = hcompose_one(
-        scalar_one_cell(inst.keys), scalar_one_cell(inst.plaintexts)
-    )
-    bubble = hcompose_one(rs.boundary_left, rs.boundary_right)
-    return TwoCell(dom, bubble, ((inst.encrypt,),))
-
-
-def _cup_split(pad: DualityPair) -> TwoCell:
-    """Pad creation with the two legs presented as separate wire factors."""
-    k = pad.carrier
-    cod = hcompose_one(scalar_one_cell(k), scalar_one_cell(k))
-    return TwoCell(identity_one_cell(FiniteSet(1)), cod, ((pad.cup,),))
-
-
-def _cap_split(pad: DualityPair) -> TwoCell:
-    k = pad.carrier
-    dom = hcompose_one(scalar_one_cell(k), scalar_one_cell(k))
-    return TwoCell(dom, identity_one_cell(FiniteSet(1)), ((pad.cap,),))
-
-
-# ---------------------------------------------------------------------------
 # Correctness.
 # ---------------------------------------------------------------------------
 
@@ -229,16 +288,7 @@ def check_correctness(inst: ProtocolInstance) -> EquationVerdict:
     the other key under the published value.  Right side: create a fresh
     public value and hand the plaintext over unchanged.
     """
-    rs = region_structure(inst.ciphertexts)
-    p_wire, k_wire = wire_cell(inst.plaintexts), wire_cell(inst.keys)
-    lhs = vcompose_many(
-        tensor(p_wire, cup_cell(inst.pad)),
-        tensor(scalar_two_cell(inst.encrypt), k_wire),
-        tensor(rs.publish, k_wire),
-        controlled_scalar(inst.decrypt),
-    )
-    rhs = tensor(rs.create_region, p_wire)
-    return _verdict("correctness", lhs, rhs)
+    return _verdict("correctness", vcompose(inst.sent, inst.receive), inst.fresh_region)
 
 
 def check_correctness_protocol_form(inst: ProtocolInstance) -> EquationVerdict:
@@ -249,15 +299,11 @@ def check_correctness_protocol_form(inst: ProtocolInstance) -> EquationVerdict:
     explicit do-nothing step, and decryption is whiskered against the
     region boundaries directly.
     """
-    rs = region_structure(inst.ciphertexts)
-    p_wire, k_wire = wire_cell(inst.plaintexts), wire_cell(inst.keys)
-    sender = tensor(vcompose(scalar_two_cell(inst.encrypt), rs.publish), k_wire)
-    first_half = vcompose(tensor(p_wire, cup_cell(inst.pad)), sender)
+    sender = tensor(vcompose(inst.encrypt_cell, inst.region.publish), inst.k_wire)
+    first_half = vcompose(tensor(inst.p_wire, inst.pad_cell), sender)
     transit = identity_two_cell(first_half.codomain)
-    receive = hcompose_two(controlled_at_left_boundary(inst.decrypt), rs.id_right)
-    lhs = vcompose_many(first_half, transit, receive)
-    rhs_core = tensor(rs.create_region, p_wire)
-    rhs = vcompose(rhs_core, identity_two_cell(rhs_core.codomain))
+    lhs = vcompose_many(first_half, transit, inst.receive)
+    rhs = vcompose(inst.fresh_region, identity_two_cell(inst.fresh_region.codomain))
     return _verdict("correctness_protocol_form", lhs, rhs)
 
 
@@ -286,53 +332,31 @@ def check_security(inst: ProtocolInstance, which: str) -> EquationVerdict:
 
 
 def _security_key_deleted(inst: ProtocolInstance) -> EquationVerdict:
-    rs = region_structure(inst.ciphertexts)
-    p_wire, k_wire = wire_cell(inst.plaintexts), wire_cell(inst.keys)
-    bubble_id = identity_two_cell(
-        hcompose_one(rs.boundary_left, rs.boundary_right)
-    )
-    lhs = vcompose_many(
-        tensor(p_wire, cup_cell(inst.pad)),
-        tensor(scalar_two_cell(inst.encrypt), k_wire),
-        tensor(rs.publish, k_wire),
-        tensor(bubble_id, delete_cell(inst.keys)),
-    )
-    rhs = vcompose(delete_cell(inst.plaintexts), rs.create_region)
-    return _verdict("S1", lhs, rhs)
+    lhs = vcompose(inst.sent, tensor(inst.region.id_bubble, inst.delete_keys))
+    return _verdict("S1", lhs, inst.forget_plaintext)
 
 
 def _security_random_key(inst: ProtocolInstance) -> EquationVerdict:
-    rs = region_structure(inst.ciphertexts)
     lhs = vcompose_many(
-        tensor(wire_cell(inst.plaintexts), create_cell(inst.keys)),
-        scalar_two_cell(inst.encrypt),
-        rs.publish,
+        tensor(inst.p_wire, inst.create_keys), inst.encrypt_cell, inst.region.publish
     )
-    rhs = vcompose(delete_cell(inst.plaintexts), rs.create_region)
-    return _verdict("S2", lhs, rhs)
+    return _verdict("S2", lhs, inst.forget_plaintext)
 
 
 def _security_random_message(inst: ProtocolInstance) -> EquationVerdict:
-    rs = region_structure(inst.ciphertexts)
+    rs = inst.region
     lhs = vcompose_many(
-        tensor(create_cell(inst.plaintexts), wire_cell(inst.keys)),
-        scalar_two_cell(inst.encrypt),
-        rs.publish,
+        tensor(inst.create_plaintexts, inst.k_wire), inst.encrypt_cell, rs.publish
     )
-    rhs = vcompose(delete_cell(inst.keys), rs.create_region)
-    return _verdict("S3", lhs, rhs)
+    return _verdict("S3", lhs, vcompose(inst.delete_keys, rs.create_region))
 
 
 def _security_keyless_attacker(inst: ProtocolInstance) -> EquationVerdict:
     """With the key chosen blindly, decryption can yield every plaintext,
     whatever the public value says: checked per region value."""
-    rs = region_structure(inst.ciphertexts)
-    lhs = vcompose(
-        hcompose_two(create_cell(inst.keys), rs.id_left),
-        controlled_at_left_boundary(inst.decrypt),
-    )
-    rhs = hcompose_two(create_cell(inst.plaintexts), rs.id_left)
-    return _verdict("S4", lhs, rhs)
+    id_bl = inst.region.id_left
+    lhs = vcompose(hcompose_two(inst.create_keys, id_bl), inst.decrypt_cell)
+    return _verdict("S4", lhs, hcompose_two(inst.create_plaintexts, id_bl))
 
 
 @dataclass(frozen=True)
@@ -361,23 +385,16 @@ def _decryption_inverse(record: Verification) -> EquationVerdict:
     every decryption fiber is required to be a bijection.
     """
     inst = record.inst
-    rs = region_structure(inst.ciphertexts)
-    k_wire = wire_cell(inst.keys)
-
-    dom = hcompose_one(scalar_one_cell(inst.plaintexts), rs.boundary_left)
-    step1 = hcompose_two(_cup_split(inst.pad), identity_two_cell(dom))
-    step2 = hcompose_two(hcompose_two(k_wire, _enc_published_split(inst)), rs.id_left)
-    keep = identity_two_cell(hcompose_one(scalar_one_cell(inst.keys), rs.boundary_left))
-    step3 = hcompose_two(keep, rs.compare)
-    dinv = record.inverse = vcompose_many(step1, step2, step3)
-
-    dec = controlled_at_left_boundary(inst.decrypt)
-    left = _verdict(
-        "decrypt_then_inverse", vcompose(dec, dinv), identity_two_cell(dec.domain)
+    rs, dec = inst.region, inst.decrypt_cell
+    id_keys, id_plain = identity_two_cell(dec.domain), identity_two_cell(dec.codomain)
+    encrypted = hcompose_two(inst.k_wire, inst.enc_published_split)
+    dinv = record.inverse = vcompose_many(
+        hcompose_two(inst.cup_split, id_plain),
+        hcompose_two(encrypted, rs.id_left),
+        hcompose_two(id_keys, rs.compare),
     )
-    right = _verdict(
-        "inverse_then_decrypt", vcompose(dinv, dec), identity_two_cell(dinv.domain)
-    )
+    left = _verdict("decrypt_then_inverse", vcompose(dec, dinv), id_keys)
+    right = _verdict("inverse_then_decrypt", vcompose(dinv, dec), id_plain)
     if left.holds and right.holds and record.fibers_bijective:
         return EquationVerdict("decryption_invertible", True)
     reasons = [v.witness for v in (left, right) if not v.holds and v.witness]
@@ -394,20 +411,14 @@ def rebuild_encryption_from(inst: ProtocolInstance, dinv: TwoCell) -> EquationVe
     it, and verify the resulting key against the incoming key wire; what
     survives is exactly encrypt-then-publish.
     """
-    rs = region_structure(inst.ciphertexts)
-    k_wire = wire_cell(inst.keys)
-    pk_cell = identity_two_cell(
-        hcompose_one(scalar_one_cell(inst.keys), scalar_one_cell(inst.plaintexts))
-    )
-    bubble = hcompose_one(rs.boundary_left, rs.boundary_right)
+    rs, target = inst.region, inst.enc_published_split
+    one = identity_one_cell(FiniteSet(1))
+    cap = TwoCell(inst.cup_split.codomain, one, ((inst.pad.cap,),))
 
-    step1 = hcompose_two(pk_cell, rs.create_region)
-    dinv_scalar = hcompose_two(dinv, rs.id_right)
-    step2 = hcompose_two(k_wire, dinv_scalar)
-    step3 = hcompose_two(_cap_split(inst.pad), identity_two_cell(bubble))
+    step1 = hcompose_two(identity_two_cell(target.domain), rs.create_region)
+    step2 = hcompose_two(inst.k_wire, hcompose_two(dinv, rs.id_right))
+    step3 = hcompose_two(cap, rs.id_bubble)
     rebuilt = vcompose_many(step1, step2, step3)
-
-    target = TwoCell(pk_cell.domain, bubble, ((inst.encrypt,),))
     return _verdict("encryption_rebuilt_from_inverse", rebuilt, target)
 
 
@@ -459,30 +470,26 @@ def _sharing(record: Verification) -> tuple[EquationVerdict, ...]:
     they are decided together.
     """
     inst = record.inst
-    rs = region_structure(inst.ciphertexts)
+    rs, k_wire = inst.region, inst.k_wire
     id_bl = rs.id_left
-    k_wire = wire_cell(inst.keys)
 
-    prepare = hcompose_two(_cup_split(inst.pad), id_bl)
-    adjust = hcompose_two(k_wire, controlled_at_left_boundary(inst.decrypt))
-    combine = hcompose_two(_enc_published_split(inst), id_bl)
+    prepare = hcompose_two(inst.cup_split, id_bl)
+    adjust = hcompose_two(k_wire, inst.decrypt_cell)
+    combine = hcompose_two(inst.enc_published_split, id_bl)
     after_adjust = vcompose(prepare, adjust)
     lhs = vcompose(after_adjust, combine)
     rhs = hcompose_two(id_bl, rs.copy)
     recombination = _verdict("sharing_recombination", lhs, rhs)
 
-    p_bl = identity_two_cell(
-        hcompose_one(scalar_one_cell(inst.plaintexts), rs.boundary_left)
-    )
-    erase_right = vcompose(after_adjust, hcompose_two(delete_cell(inst.keys), p_bl))
-    rhs_right = hcompose_two(create_cell(inst.plaintexts), id_bl)
+    p_bl = identity_two_cell(inst.decrypt_cell.codomain)
+    erase_right = vcompose(after_adjust, hcompose_two(inst.delete_keys, p_bl))
+    rhs_right = hcompose_two(inst.create_plaintexts, id_bl)
     erase_right_share = _verdict("sharing_erase_right_share", erase_right, rhs_right)
 
     erase_left = vcompose(
-        after_adjust,
-        hcompose_two(k_wire, hcompose_two(delete_cell(inst.plaintexts), id_bl)),
+        after_adjust, hcompose_two(k_wire, hcompose_two(inst.delete_plaintexts, id_bl))
     )
-    rhs_left = hcompose_two(create_cell(inst.keys), id_bl)
+    rhs_left = hcompose_two(inst.create_keys, id_bl)
     erase_left_share = _verdict("sharing_erase_left_share", erase_left, rhs_left)
     return recombination, erase_right_share, erase_left_share
 
@@ -534,7 +541,10 @@ class Verification:
     use, after its hypothesis.  If the hypothesis fails, the check is not
     evaluated: its verdict is `refused`, and the witness is the text of the
     `PreconditionError` that its public function raises.  The record keeps
-    verdicts and the derived inverse cell, never the sides of an equation.
+    verdicts and the derived inverse cell.  The cells that several checks
+    read are kept on the instance (`ProtocolInstance`): its generators,
+    the right sides that start from a fresh region, and `sent`, the
+    prefix of correctness and S1; no other side of an equation is kept.
     ``given`` names checks the caller already knows to hold, such as the
     search's correctness; they are recorded as holding, never decided.
     """

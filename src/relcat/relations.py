@@ -236,22 +236,29 @@ def make(src: SetLike, dst: SetLike, pairs: Iterable[tuple[int, int]]) -> Rel:
                 f"{src.size} -> {dst.size}"
             )
         bits[b, a] = True
-    return Rel(src, dst, bits)
+    return _fresh(src, dst, bits)
 
 
 def empty(src: SetLike, dst: SetLike) -> Rel:
     src, dst = as_finite_set(src), as_finite_set(dst)
-    return Rel(src, dst, np.zeros((dst.size, src.size), dtype=bool))
+    return _fresh(src, dst, np.zeros((dst.size, src.size), dtype=bool))
 
 
 def full(src: SetLike, dst: SetLike) -> Rel:
     src, dst = as_finite_set(src), as_finite_set(dst)
-    return Rel(src, dst, np.ones((dst.size, src.size), dtype=bool))
+    return _fresh(src, dst, np.ones((dst.size, src.size), dtype=bool))
 
 
 def identity(s: SetLike) -> Rel:
     s = as_finite_set(s)
-    return Rel(s, s, np.eye(s.size, dtype=bool))
+    return _fresh(s, s, np.eye(s.size, dtype=bool))
+
+
+def _fresh(src: FiniteSet, dst: FiniteSet, bits: np.ndarray) -> Rel:
+    """A relation on a bit matrix no one else holds: it is made read-only
+    and taken as it is, not copied."""
+    bits.setflags(write=False)
+    return Rel(src, dst, bits)
 
 
 # Above this many multiply-adds a float32 BLAS product beats numpy's

@@ -194,6 +194,23 @@ class TestVCompose:
         with pytest.raises(ShapeError):
             vcompose(a, b)
 
+    def test_a_component_with_an_empty_fiber_composes_nothing(self, monkeypatch):
+        # copy then compare on a region: every fiber off the diagonal is empty
+        rs, composed = region_structure(FiniteSet(4)), []
+
+        def counted(r, s, _compose=compose):
+            composed.append((r, s))
+            return _compose(r, s)
+
+        monkeypatch.setattr(cells, "compose_rel", counted)
+        out = vcompose(rs.copy, rs.compare)
+        assert len(composed) == 4
+        off_diagonal = [
+            out.component(t, s) for t in range(4) for s in range(4) if t != s
+        ]
+        assert len({id(r) for r in off_diagonal}) == 1
+        assert off_diagonal[0] == relations.empty(0, 0)
+
 
 class TestTensor:
     def test_shape_law(self, builder):

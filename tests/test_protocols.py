@@ -1,8 +1,11 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from oracle_laws import holds
-from relcat import cells, relations
+from relcat import cells, cli, dsl, generators, protocols, relations
 from relcat.cells import equal
 from relcat.generators import (
     ControlledOp,
@@ -413,6 +416,113 @@ def single_message_instance() -> ProtocolInstance:
     )
 
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+# the `tests/data` files that `verify-otp --file` loads as instances
+INSTANCE_FILES = [
+    "instance_twisted_pad.rcat",
+    "otp_broken_decryption.rcat",
+    "otp_constant_encryption.rcat",
+    "otp_labelled_extra_decryption.rcat",
+    "otp_single_message.rcat",
+]
+
+
+def decided_alone(fresh) -> dict[str, tuple]:
+    """Every check through its public function, each on an instance of its
+    own: (holds, refused, witness) by check name."""
+
+    def outcome(decide):
+        try:
+            verdict = decide(fresh())
+        except PreconditionError as exc:
+            return False, True, str(exc)
+        assert not verdict.refused
+        return verdict.holds, False, verdict.witness
+
+    out = {
+        "correctness": outcome(check_correctness),
+        "correctness_protocol_form": outcome(check_correctness_protocol_form),
+        **{
+            w: outcome(lambda i, w=w: check_security(i, w))
+            for w in protocols.SECURITY_PROPERTIES
+        },
+        "decryption_invertible": outcome(lambda i: derive_decryption_inverse(i)[1]),
+        "encryption_rebuilt_from_inverse": outcome(rebuild_encryption),
+        "encryption_not_invertible": outcome(check_encryption_not_invertible),
+    }
+    for name in protocols._SHARING:  # "sharing_x" is the result's field x
+        field = name.removeprefix("sharing_")
+        out[name] = outcome(lambda i, f=field: getattr(secret_sharing_from_otp(i), f))
+    return out
+
+
+def decided_together(inst: ProtocolInstance, names) -> dict[str, tuple]:
+    record = Verification(inst)
+    return {n: (record[n].holds, record[n].refused, record[n].witness) for n in names}
+
+
+class TestSharedCells:
+    @pytest.mark.parametrize(
+        "fresh",
+        [*(lambda n=n: group_instance(n) for n in range(1, 7)), single_bit_instance]
+        + [
+            lambda name=name: cli._instance_from_file(os.path.join(DATA_DIR, name))
+            for name in INSTANCE_FILES
+        ],
+        ids=[f"group-{n}" for n in range(1, 7)] + ["single-bit"] + INSTANCE_FILES,
+    )
+    def test_one_record_decides_as_the_public_functions_alone(self, fresh):
+        # a cell kept on the instance must carry nothing from one check to
+        # the next, in whatever order the checks are decided
+        alone = decided_alone(fresh)
+        assert list(alone) == list(_CHECKS)
+        assert decided_together(fresh(), _CHECKS) == alone
+        assert decided_together(fresh(), reversed(list(_CHECKS))) == alone
+
+    def test_every_other_data_file_is_refused_as_an_instance(self):
+        # so that the parity test above covers every file that loads
+        others = sorted(
+            set(map(os.path.basename, glob.glob(os.path.join(DATA_DIR, "*.rcat"))))
+            - set(INSTANCE_FILES)
+        )
+        assert others
+        for name in others:
+            with pytest.raises((ValueError, dsl.ParseError, dsl.ElaborationError)):
+                cli._instance_from_file(os.path.join(DATA_DIR, name))
+
+    def test_the_pad_beside_the_plaintext_wire_is_not_kept(self):
+        # correctness and S1 build it, at (p·k)² bits, inside `sent`
+        p, k = 2, 5
+        inst = function_scheme(p, k, 1, seed=1)
+        record = Verification(inst)
+        verdicts = [record[name] for name in _CHECKS]
+        # correct, so every check is decided but the rebuild, refused at p != k
+        assert verdicts[0].holds
+        kept = [
+            rel
+            for cell in vars(inst).values()
+            if isinstance(cell, cells.TwoCell)
+            for row in cell.components
+            for rel in row
+        ]
+        assert kept and max(rel.bits.size for rel in kept) < (p * k) ** 2
+
+    def test_verify_otp_builds_each_generator_once(self, monkeypatch, capsys):
+        calls = {"controlled_at_left_boundary": 0, "wire_cell": 0, "cup_cell": 0}
+        for name in calls:
+            def counted(*args, _build=getattr(generators, name), _name=name):
+                calls[_name] += 1
+                return _build(*args)
+
+            for module in (generators, protocols):
+                monkeypatch.setattr(module, name, counted)
+        assert cli.main(["verify-otp", "--group", "3"]) == 0
+        capsys.readouterr()
+        assert calls["controlled_at_left_boundary"] == 1
+        assert calls["wire_cell"] <= 2
+        assert calls["cup_cell"] == 1
+
+
 class TestVerification:
     def test_each_check_is_decided_at_most_once(self, monkeypatch):
         import relcat.protocols as protocols
@@ -568,6 +678,19 @@ class TestKeyExchange:
             check_dh(dh_instance(7), erase_published=erase)
             counts.append(len(built))
         assert counts == [4, 4]
+
+    def test_only_the_diagonal_is_composed(self, monkeypatch):
+        # off the region's diagonal every fiber is empty, so each of the 12
+        # vertical composites composes only its 7 diagonal components
+        composed = []
+
+        def counted(r, s, _compose=relations.compose):
+            composed.append((r, s))
+            return _compose(r, s)
+
+        monkeypatch.setattr(cells, "compose_rel", counted)
+        assert check_dh(dh_instance(7)).holds
+        assert len(composed) == 84
 
     def test_a_whiskered_step_builds_one_block_per_distinct_pair(self, monkeypatch):
         from relcat.protocols import _in_zone

@@ -215,6 +215,30 @@ class TestImmutability:
         for pr in (product(full(1, 1), r), product(r, full(1, 1))):
             assert pr == r and np.shares_memory(pr.bits, r.bits)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n, pairs: identity(n),
+            lambda n, pairs: full(n, n),
+            lambda n, pairs: empty(n, n),
+            lambda n, pairs: make(n, n, pairs),
+        ],
+        ids=["identity", "full", "empty", "make"],
+    )
+    def test_a_fresh_relation_is_not_copied(self, build):
+        # the builders hand over a read-only array of their own, so no
+        # relation briefly takes twice its bits
+        n = 3000
+        pairs = [(i, i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            r = build(n, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.bits.size == n * n and not r.bits.flags.writeable
+        assert peak <= 1.1 * n * n
+
 
 class TestConverse:
     def test_identity_symmetric(self):
