@@ -12,7 +12,10 @@ its Kronecker factors instead.  `compose` applies such a product to the
 relation before it one factor axis at a time, as a state-vector simulator
 applies a gate, whenever that takes fewer multiply-adds than the dense
 product would; it takes the columns of that relation in chunks, so that
-no intermediate state has more than `_CONTRACT_MAX_STATE` entries.  Any
+no intermediate state has more than `_CONTRACT_MAX_STATE` entries.  A
+factor in which each target has at most one source, such as a
+permutation, is applied as a row gather, the rest by float32 BLAS; which
+one is decided once per dense relation (`_gather`) and kept on it.  Any
 other reader of its `bits` builds the dense form, once.  Beside a unit
 factor a product is the other factor itself, so it is never copied.
 """
@@ -179,7 +182,9 @@ class Rel:
     from one another share their bits instead of copying them.
     """
 
-    __slots__ = ("src", "dst", "bits")
+    # ``gather`` is filled by `_gather` when the relation is first applied
+    # to a state in `_contract`
+    __slots__ = ("src", "dst", "bits", "gather")
 
     def __init__(self, src: SetLike, dst: SetLike, bits: np.ndarray):
         src, dst = as_finite_set(src), as_finite_set(dst)
@@ -298,14 +303,16 @@ def dense_size(bits: int) -> str:
 
 
 class _FactoredRel(Rel):
-    """A relation held as a Kronecker product of read-only boolean factors,
-    none of them the 1x1 unit; `bits` builds its dense form on first read."""
+    """A relation held as a Kronecker product of dense relations, its
+    ``parts``, none of them the 1x1 unit; ``factors`` are their read-only
+    bit matrices, and `bits` builds the dense form on first read."""
 
-    __slots__ = ("factors", "dense")
+    __slots__ = ("parts", "factors", "dense")
 
-    def __init__(self, src: FiniteSet, dst: FiniteSet, factors: tuple):
+    def __init__(self, src: FiniteSet, dst: FiniteSet, parts: tuple, factors: tuple):
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "dense", None)
 
@@ -342,19 +349,58 @@ def _contraction_work(factors: Sequence[np.ndarray], m: int) -> int:
     return work
 
 
-def _contract(factors: Sequence[np.ndarray], bits: np.ndarray) -> np.ndarray:
+# a row gather (sources, empty): target b reads source sources[b], and the
+# targets in empty, None when there are none, read nothing
+_Gather = tuple[np.ndarray, Optional[np.ndarray]]
+
+
+def _gather(r: Rel) -> Optional[_Gather]:
+    """How `_contract` applies the dense relation ``r``: None for a float32
+    product, or, when each target is related to at most one source, a row
+    gather.  Decided once per relation, on first use, and kept on it."""
+    try:
+        return r.gather
+    except AttributeError:
+        pass
+    bits = r.bits
+    n_dst, total = bits.shape[0], np.count_nonzero(bits)
+    gather = None
+    if bits.shape[1] and total <= n_dst:
+        sources = bits.argmax(axis=1)  # the first source of each target
+        found = bits[np.arange(n_dst), sources]
+        hits = np.count_nonzero(found)
+        if hits == total:  # so no target has two
+            gather = sources, None if hits == n_dst else np.flatnonzero(~found)
+    object.__setattr__(r, "gather", gather)
+    return gather
+
+
+def _contract(
+    factors: Sequence[np.ndarray],
+    bits: np.ndarray,
+    gathers: Optional[Sequence[Optional[_Gather]]] = None,
+) -> np.ndarray:
     """``kron(factors) @ bits`` as booleans, one factor axis at a time.
 
     The rows of ``bits`` are the factors' source axes, left factor high,
-    and its columns a trailing axis.  Each step multiplies the leading axis
-    by one factor with exact float32 BLAS, clips the counts to 0/1, and
-    rotates the new axis to the back; after the last factor the axes are
-    (columns, targets...), so one transpose gives the result.  The columns
-    are taken in chunks, so that no float32 state has more than
+    and its columns a trailing axis.  Each step applies one factor to the
+    leading axis and rotates the new axis to the back; after the last
+    factor the axes are (columns, targets...), so one transpose gives the
+    result.  A factor with a row gather in ``gathers`` (`_gather`) is
+    applied as one: its target rows are copies of source rows, and rows
+    with no source are zeroed.  Any other factor is a product in exact
+    float32 BLAS whose counts are clipped to 0/1; without ``gathers`` every
+    factor is.  The state stays boolean until the first product.  The
+    columns are taken in chunks, so that no state has more than
     `_CONTRACT_MAX_STATE` entries unless one column alone does.
     """
     m = bits.shape[1]
-    floats = [f.astype(np.float32) for f in factors]
+    if gathers is None:
+        gathers = (None,) * len(factors)
+    floats = [
+        f.astype(np.float32) if gather is None else None
+        for f, gather in zip(factors, gathers)
+    ]
     width = widest = bits.shape[0]
     for f in factors:
         width = width // f.shape[1] * f.shape[0]
@@ -362,11 +408,18 @@ def _contract(factors: Sequence[np.ndarray], bits: np.ndarray) -> np.ndarray:
     out = np.empty((width, m), dtype=bool)
     step = max(1, _CONTRACT_MAX_STATE // widest)
     for lo in range(0, m, step):
-        x = bits[:, lo : lo + step].astype(np.float32)
+        x = bits[:, lo : lo + step]
         w = x.shape[1]
-        for f in floats:
-            y = f @ x.reshape(f.shape[1], -1)
-            np.minimum(y, 1, out=y)
+        for f, as_float, gather in zip(factors, floats, gathers):
+            x = x.reshape(f.shape[1], -1)
+            if gather is None:
+                y = as_float @ x.astype(np.float32, copy=False)
+                np.minimum(y, 1, out=y)
+            else:
+                sources, empty = gather
+                y = x[sources]
+                if empty is not None:
+                    y[empty] = 0
             x = np.ascontiguousarray(y.T)
         out[:, lo : lo + w] = x.reshape(w, -1).T > 0
     out.setflags(write=False)
@@ -385,9 +438,10 @@ def compose(r: Rel, s: Rel) -> Rel:
     is a product not yet built and contracting ``r`` with its factors
     takes fewer multiply-adds than the dense product, |s.src|·|s.dst|
     for each of the |r.src| columns, ``s`` is never built.  Contractions
-    and large dense products take the columns of ``r`` in chunks
-    (`_contract`).  An ``r`` with an empty source gives the empty result
-    without reading ``s``.
+    and large dense products take the columns of ``r`` in chunks, and
+    apply a factor in which each target has at most one source as a row
+    gather (`_contract`).  An ``r`` with an empty source gives the empty
+    result without reading ``s``.
     """
     if r.dst.size != s.src.size:
         raise ShapeError(
@@ -402,13 +456,13 @@ def compose(r: Rel, s: Rel) -> Rel:
         and _contraction_work(s.factors, r.src.size)
         < s.src.size * s.dst.size * r.src.size
     ):
-        bits = _contract(s.factors, r.bits)
+        bits = _contract(s.factors, r.bits, [_gather(part) for part in s.parts])
     elif r.src.size == 1:
         bits = s.bits[:, r.bits[:, 0]].any(axis=1, keepdims=True)
     elif s.dst.size * s.src.size * r.src.size <= _BOOL_MATMUL_MAX_WORK:
         bits = s.bits @ r.bits
     else:
-        bits = _contract((s.bits,), r.bits)
+        bits = _contract((s.bits,), r.bits, (_gather(s),))
     bits.setflags(write=False)
     return Rel(r.src, s.dst, bits)
 
@@ -443,8 +497,12 @@ def _kron(r: Rel, s: Rel, src: FiniteSet, dst: FiniteSet) -> Rel:
         return r
     factors = _factors(r) + _factors(s)
     if src.size * dst.size > _BOOL_MATMUL_MAX_WORK:
-        return _FactoredRel(src, dst, factors)
+        return _FactoredRel(src, dst, _parts(r) + _parts(s), factors)
     return Rel(src, dst, _materialise(factors))
+
+
+def _parts(r: Rel) -> tuple[Rel, ...]:
+    return r.parts if type(r) is _FactoredRel else (r,)
 
 
 def _factors(r: Rel) -> tuple[np.ndarray, ...]:

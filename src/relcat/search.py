@@ -477,6 +477,19 @@ def verify_theorems(spec: SearchSpec) -> TheoremReport:
     )
 
 
+def _pad_of_rank(rank: int, k: int) -> tuple[list[int], list[int]]:
+    """The permutation of ``range(k)`` of this lexicographic rank, and its
+    inverse.  The rank's factorial-base digits are read least significant
+    first, so each division is by a small number."""
+    digits = []
+    for n in range(2, k + 1):
+        rank, digit = divmod(rank, n)
+        digits.append(digit)
+    rest = list(range(k))
+    pad = [rest.pop(digit) for digit in reversed(digits)] + rest
+    return pad, sorted(range(k), key=pad.__getitem__)
+
+
 def sample_candidates(
     sizes: tuple[int, int, int], count: int, seed: int = 0
 ) -> TheoremReport:
@@ -486,47 +499,99 @@ def sample_candidates(
     toward plausible solutions (near-functional decryption families with
     the maximal compatible encryption), so the theorem checks are exercised
     on actual solutions.  Correctness is always checked honestly first, by
-    the enumeration's solver, and the theorems are then decided on each
+    `_BlockSolver.solve`'s rule, and the theorems are then decided on each
     correct record as in `verify_theorems`.  The pad is the permutation of
     lexicographic rank ``rng.randrange(k!)``.
+
+    The draws on ``random.Random(seed)`` are, per candidate and in order:
+    ``randrange(k!)``; for a uniform triple (even i), c x
+    ``getrandbits(p*k)`` and then ``getrandbits(p*k*c)``; for a guided one
+    (odd i), per block, k x ``randrange(p)``, one ``random()`` and, below
+    0.2, ``randrange(p)`` then ``randrange(k)``.  Beyond its draws a
+    candidate costs one pass of integer work, block by block, up to the
+    first incorrect block; what depends only on (p, k) is made once per
+    call.  A guided block is checked in the columns of its decryption code
+    d, and a uniform one in those of u, d read through the pad: the rule
+    goes column by column, so moving every column through the pad changes
+    no verdict.  So the pad is decoded only when a uniform block reaches u
+    or a record is kept.  Nothing is remembered from one candidate to the
+    next.
     """
     p, k, c = sizes
     rng = random.Random(seed)
+    randrange, getrandbits, uniform = rng.randrange, rng.getrandbits, rng.random
     solver = _BlockSolver(p, k, frozenset({"correctness"}))
-    n_pads, row_bits, row_mask = math.factorial(k), p * k, (1 << p * k) - 1
+    cols, through_pad = solver.cols, solver.through_pad
+    n_pads, row_bits = math.factorial(k), p * k
+    row_mask = (1 << row_bits) - 1
+    blocks = range(c)
+    at_block = [(c - 1 - b) * row_bits for b in blocks]
+    # in_column[x][m] is the code of the pair (message m, key x)
+    in_column = [[solver.bit(m, x) for m in range(p)] for x in range(k)]
+    # a code has an empty message row exactly when (code - low) & ~code &
+    # high is nonzero: the lowest empty row borrows into its first column
+    low, high = sum(in_column[-1]), sum(in_column[0])
+
     counterexamples: list[str] = []
     solutions = 0
     with_s1 = 0
     for i in range(count):
-        rank, rest, pad = rng.randrange(n_pads), list(range(k)), []
-        for n in range(k - 1, -1, -1):
-            pick, rank = divmod(rank, math.factorial(n))
-            pad.append(rest.pop(pick))
-        unpad = sorted(range(k), key=pad.__getitem__)
-        if i % 2 == 0:
-            d_codes = tuple(rng.getrandbits(row_bits) for _ in range(c))
-            e_code = rng.getrandbits(row_bits * c)
-        else:
-            d_codes, e_code = [], 0
-            for _ in range(c):
-                d = sum(solver.bit(rng.randrange(p), j) for j in range(k))
-                if rng.random() < 0.2:
-                    d ^= solver.bit(rng.randrange(p), rng.randrange(k))
+        rank = randrange(n_pads)
+        guided = i & 1
+        d_codes: list[int] = []
+        if guided:
+            for _ in blocks:
+                d = 0
+                for column in in_column:
+                    d |= column[randrange(p)]
+                if uniform() < 0.2:
+                    m = randrange(p)
+                    d ^= in_column[randrange(k)][m]
                 d_codes.append(d)
-                # encrypt (m, j) to this block when d decrypts pad[j] to m alone
-                u = solver.through_pad(d, unpad)
-                e_code = e_code << row_bits | sum(
-                    part for col in solver.cols if not (part := u & col) & (part - 1)
-                )
-            d_codes = tuple(d_codes)
-        for cc in range(c):
-            solved = solver.solve(e_code >> (c - 1 - cc) * row_bits & row_mask)
-            u = solver.through_pad(d_codes[cc], unpad)
-            if not (solved and not u & ~solved[0] and all(u & m for m in solved[1])):
+            e_rows = []  # in the columns of d
+        else:
+            for _ in blocks:
+                d_codes.append(getrandbits(row_bits))
+            e_code = getrandbits(row_bits * c)
+        pad = None
+        for b in blocks:
+            if guided:
+                # encrypt (m, x) to this block when d decrypts x to m alone
+                u = d_codes[b]
+                row = 0
+                for col in cols:
+                    part = u & col
+                    if not part & (part - 1):
+                        row |= part
+                e_rows.append(row)
+            else:
+                row = e_code >> at_block[b] & row_mask
+            allowed = singles = 0
+            for col in cols:
+                encrypted = row & col  # M_x, in column x
+                if not encrypted:
+                    allowed |= col
+                elif not encrypted & (encrypted - 1):
+                    allowed |= encrypted
+                    singles |= encrypted
+            if (singles - low) & ~singles & high:
+                break
+            if not guided:
+                if pad is None:
+                    pad, unpad = _pad_of_rank(rank, k)
+                u = through_pad(d_codes[b], unpad)
+            singles &= u
+            if u & ~allowed or (singles - low) & ~singles & high:
                 break
         else:
+            if pad is None:
+                pad, unpad = _pad_of_rank(rank, k)
+            if guided:
+                e_code = 0
+                for e in e_rows:
+                    e_code = e_code << row_bits | through_pad(e, unpad)
             record = SolutionRecord(
-                sizes, e_code, d_codes, tuple(pad), {"correctness": True}
+                sizes, e_code, tuple(d_codes), tuple(pad), {"correctness": True}
             )
             solutions += 1
             with_s1 += _check_theorems_on(record, solver, counterexamples)

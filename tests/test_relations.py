@@ -403,6 +403,104 @@ class TestFactoredProduct:
         assert s.dense is None
 
 
+FACTOR_KINDS = ("dense", "permutation", "partial", "identity", "empty")
+
+
+@st.composite
+def contraction_parts(draw):
+    """A dense relation of each kind `_contract` meets: any bits, a
+    permutation, a partial function (each target reads at most one
+    source), the identity, and the empty relation."""
+    kind = draw(st.sampled_from(FACTOR_KINDS))
+    n_src = draw(st.integers(1, 4))
+    n_dst = n_src if kind in ("permutation", "identity") else draw(st.integers(1, 4))
+    if kind == "dense":
+        flat = draw(st.lists(st.booleans(), min_size=n_src * n_dst, max_size=n_src * n_dst))
+        bits = np.array(flat, dtype=bool).reshape(n_dst, n_src)
+    else:
+        bits = np.zeros((n_dst, n_src), dtype=bool)
+        if kind == "permutation":
+            bits[np.arange(n_dst), draw(st.permutations(range(n_src)))] = True
+        elif kind == "identity":
+            bits[np.arange(n_dst), np.arange(n_src)] = True
+        elif kind == "partial":
+            for b in range(n_dst):
+                a = draw(st.integers(-1, n_src - 1))
+                if a >= 0:
+                    bits[b, a] = True
+    return kind, Rel(n_src, n_dst, bits)
+
+
+class TestContract:
+    """`relations._contract`, with row gathers and without, against the
+    materialised Kronecker product."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=st.lists(contraction_parts(), min_size=1, max_size=3),
+        m=st.integers(1, 6),
+        limit=st.sampled_from([1, 3, 16, relations._CONTRACT_MAX_STATE]),
+        data=st.data(),
+    )
+    def test_equals_the_materialised_product(self, drawn, m, limit, data):
+        kinds, parts = zip(*drawn)
+        factors = tuple(part.bits for part in parts)
+        gathers = [relations._gather(part) for part in parts]
+        for part, gather in zip(parts, gathers):
+            # a gather exactly when each target reads at most one source
+            assert (gather is None) == bool((part.bits.sum(axis=1) > 1).any())
+        n = int(np.prod([f.shape[1] for f in factors]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = rng.random((n, m)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        want = relations._materialise(factors).astype(np.int64) @ bits.astype(np.int64) > 0
+        # small limits take the columns in chunks of one or a few
+        with mock.patch.object(relations, "_CONTRACT_MAX_STATE", limit):
+            gathered = relations._contract(factors, bits, gathers)
+            multiplied = relations._contract(factors, bits)
+        event(f"kinds={sorted(set(kinds))} chunked={limit * len(factors) < n * m}")
+        assert np.array_equal(gathered, want)
+        assert np.array_equal(multiplied, want)
+
+    def test_a_gather_is_decided_once_per_relation(self):
+        rng = np.random.default_rng(3)
+        perm = Rel(70, 70, np.eye(70, dtype=bool)[rng.permutation(70)])
+        mixed = Rel(70, 70, rng.random((70, 70)) < 0.3)
+        states = [Rel(m, 4900, rng.random((4900, m)) < 0.2) for m in (1, 2, 3)]
+        with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as scans:
+            compose(states[0], product(perm, mixed))
+            first = scans.call_count
+            for a, b in ((perm, mixed), (mixed, perm), (perm, perm)):
+                s = product(a, b)
+                assert type(s) is relations._FactoredRel
+                dense = np.kron(a.bits, b.bits).astype(np.int64)
+                for state in states:
+                    got = compose(state, s)
+                    assert s.dense is None
+                    assert np.array_equal(got.bits, dense @ state.bits > 0)
+        # both relations were read on the first contraction, and never again
+        assert first > 0 and scans.call_count == first
+        assert perm.gather is not None and mixed.gather is None
+
+    def test_compose_hands_each_gather_to_the_contraction(self):
+        rng = np.random.default_rng(4)
+        perm = Rel(80, 80, np.eye(80, dtype=bool)[::-1])
+        mixed = Rel(80, 80, rng.random((80, 80)) < 0.3)
+        state = Rel(4, 6400, rng.random((6400, 4)) < 0.2)
+        wide = Rel(80, 80, rng.random((80, 80)) < 0.3)
+        with mock.patch.object(relations, "_contract", wraps=relations._contract) as contract:
+            got = compose(state, product(perm, mixed))
+            _, _, (first, second) = contract.call_args.args
+            # a dense relation large enough for BLAS is gathered too
+            dense = compose(wide, perm)
+            _, _, (only,) = contract.call_args.args
+        assert first is perm.gather and second is None is mixed.gather
+        assert np.array_equal(first[0], np.arange(80)[::-1]) and first[1] is None
+        assert only is perm.gather
+        want = np.kron(perm.bits, mixed.bits).astype(np.int64) @ state.bits > 0
+        assert np.array_equal(got.bits, want)
+        assert np.array_equal(dense.bits, wide.bits[::-1])
+
+
 class TestKron:
     """`relations._kron`, the one Kronecker kernel, against `product`."""
 

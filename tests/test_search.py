@@ -4,6 +4,7 @@ import math
 import pytest
 
 import oracle_naive
+import oracle_sampler
 import oracle_snake
 from oracle_laws import all_permutations, all_relations
 from relcat import search
@@ -474,6 +475,88 @@ class TestTheorems:
         assert report.passed
         assert report.sampled == 4000
         assert report.solutions > 0  # the guided half finds real solutions
+
+
+# on and off the diagonal |P| = |K|, with no correct scheme (k < p), with
+# many keys, and large enough that every candidate fails
+SAMPLER_SIZES = [
+    (1, 1, 1), (1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2),
+    (3, 3, 3), (4, 4, 2), (2, 12, 2), (8, 8, 8),
+]
+
+
+class TestSamplerOracle:
+    """`sample_candidates` against the per-sample loop in
+    `tests/oracle_sampler.py`, which it replaced."""
+
+    @pytest.mark.parametrize(
+        "sizes", SAMPLER_SIZES, ids=[",".join(map(str, s)) for s in SAMPLER_SIZES]
+    )
+    def test_reports_equal_field_for_field(self, sizes):
+        for count in (1, 2, 7, 500):
+            for seed in (0, 1, 2):
+                got = sample_candidates(sizes, count, seed=seed)
+                want = oracle_sampler.sample_candidates(sizes, count, seed=seed)
+                assert vars(got) == vars(want), (sizes, count, seed)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_pads_by_rank_in_lexicographic_order(self, k):
+        pads = [search._pad_of_rank(rank, k) for rank in range(math.factorial(k))]
+        assert [tuple(pad) for pad, _ in pads] == list(itertools.permutations(range(k)))
+        for pad, unpad in pads:
+            assert [unpad[x] for x in pad] == list(range(k))
+
+    def test_the_grid_reaches_every_kind_of_report(self):
+        # correct records, off-diagonal counterexamples, whose wording
+        # builds cells, and sizes where nothing is correct
+        reports = [sample_candidates(sizes, 500, seed=0) for sizes in SAMPLER_SIZES]
+        assert any(r.solutions and r.passed for r in reports)
+        assert any(not r.passed for r in reports)
+        assert any(r.solutions == 0 for r in reports)
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 4, 3)], ids=["3,3,3", "2,4,3"])
+    def test_same_public_draws_in_the_same_order(self, monkeypatch, sizes):
+        import random
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                self.calls = []
+                streams.append(self.calls)
+                super().__init__(seed)
+
+            def randrange(self, *args):
+                self.calls.append(("randrange", args))
+                return super().randrange(*args)
+
+            def getrandbits(self, n):
+                self.calls.append(("getrandbits", n))
+                return super().getrandbits(n)
+
+            def random(self):
+                self.calls.append(("random",))
+                return super().random()
+
+        streams = []
+        monkeypatch.setattr(random, "Random", Recording)
+        sample_candidates(sizes, 300, seed=4)
+        oracle_sampler.sample_candidates(sizes, 300, seed=4)
+        got, want = streams
+        assert got == want and len(got) > 300
+
+    def test_memory_does_not_grow_with_the_count(self):
+        # nothing is remembered between candidates: at (8,8,8) every row,
+        # decryption and pad differs, so a memo would grow with the count
+        import tracemalloc
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                sample_candidates((8, 8, 8), count, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20000) <= peak(2000) + 4096
 
 
 # sizes with at most 3 elements per carrier and at most a few hundred
