@@ -538,10 +538,11 @@ def _kron_sum(
 
 def _first_difference(r: Rel, s: Rel) -> Optional[tuple[int, int, bool]]:
     """The first (row, column) where two relations of one shape differ, in
-    row-major order, and whether ``r`` holds it; None when they are equal."""
+    row-major order, and whether ``r`` holds it; None when they are equal.
+    The first is found in one pass, without listing the others."""
     if np.array_equal(r.bits, s.bits):
         return None
-    row, col = map(int, np.argwhere(r.bits != s.bits)[0])
+    row, col = divmod(int(np.argmax(r.bits != s.bits)), r.bits.shape[1])
     return row, col, bool(r.bits[row, col])
 
 

@@ -20,9 +20,13 @@ encrypts to the block.  Read off the diagram equations, the conditions are:
   M_x = {m}, and is any subset of P when M_x is empty; and every message
   m needs a key x with M_x = {m} and d(π(x)) = {m} (coverage).
 
-Each key's options are the subsets of one allowed column, which
-`_BlockSolver` reads off the bit codes.  Records are emitted in increasing
-order of the (encrypt, decrypt, pad) bit codes, so runs are reproducible.
+Each key's options are the subsets of one allowed column.  `_BlockSolver`
+reads the conditions off the bit codes, each written once there: every
+message row nonempty, every key column nonempty, and the key columns of
+an encryption row (the allowed columns, and the keys with one message).
+The search, the theorem verdicts and the sampler all call those three.
+Records are emitted in increasing order of the (encrypt, decrypt, pad) bit
+codes, so runs are reproducible.
 
 The structural theorems split the same way.  Write E for the block's
 encryption row as a P x K matrix and U for d read through the pad (column
@@ -153,16 +157,10 @@ class SolutionRecord:
         return e, ds, Permutation(ks, self.pad_mapping)
 
     def as_instance(self) -> protocols.ProtocolInstance:
-        p, k, c = self.sizes
-        ps, ks, cs = FiniteSet(p), FiniteSet(k), FiniteSet(c)
         e, ds, perm = self.relations()
+        ks, ps, cs = ds[0].src, ds[0].dst, e.dst
         return protocols.ProtocolInstance(
-            ps,
-            ks,
-            cs,
-            e,
-            ControlledOp(cs, ks, ps, ds),
-            cup_from_permutation(perm),
+            ps, ks, cs, e, ControlledOp(cs, ks, ps, ds), cup_from_permutation(perm)
         )
 
     def to_json(self) -> dict:
@@ -204,17 +202,47 @@ class _BlockSolver:
     message-major, first entry most significant.  The solver works on u,
     the decryption read through the pad (column x of u is column π(x) of
     d), on which no constraint involves the pad: moving columns keeps each
-    row of d nonempty or empty.
+    row of d nonempty or empty.  The conditions the constraints split into
+    are written once each, as `rows_nonempty`, `cols_nonempty` and
+    `key_columns`; `solve`, `is_permutation`, `verdicts` and the sampler
+    read them.
     """
 
     def __init__(self, p: int, k: int, need: frozenset[str]):
         self.p, self.k, self.need = p, k, need
         self.rows = [((1 << k) - 1) << ((p - 1 - m) * k) for m in range(p)]
         self.cols = [sum(self.bit(m, x) for m in range(p)) for x in range(k)]
+        # the last and the first column: one bit at each end of every row
+        self.low, self.high = self.cols[-1], self.cols[0]
 
     def bit(self, m: int, x: int) -> int:
         """The code of the single pair (message m, key x)."""
         return 1 << ((self.p - 1 - m) * self.k + self.k - 1 - x)
+
+    def rows_nonempty(self, code: int) -> bool:
+        """Whether every message row of the code holds a bit.  Taking one
+        from every row at once, the lowest empty row borrows into its
+        first column, and a nonempty row never borrows."""
+        return not (code - self.low) & ~code & self.high
+
+    def cols_nonempty(self, code: int) -> bool:
+        """Whether every key column of the code holds a bit."""
+        return all(code & col for col in self.cols)
+
+    def key_columns(self, code: int) -> tuple[int, int]:
+        """(allowed, singles) for an encryption row: column x of `allowed`
+        is key x's allowed decryption column, all of column x when the key
+        encrypts no message to the block, M_x when it encrypts one, and
+        empty otherwise; `singles` holds the columns with one message."""
+        allowed = singles = 0
+        for col in self.cols:
+            encrypted = code & col  # M_x, in column x
+            if not encrypted:
+                allowed |= col
+            elif not encrypted & (encrypted - 1):
+                allowed |= encrypted
+                singles |= encrypted
+        return allowed, singles
 
     def solve(self, row: int) -> Optional[tuple[int, list[int]]]:
         """(allowed, masks) for encryption row `row`, or None if it fails.
@@ -224,24 +252,18 @@ class _BlockSolver:
         subsets are its options; the masks are the rows of d for S4 and,
         for coverage, the singleton columns of e in each message row.
         """
-        need, rows, cols = self.need, self.rows, self.cols
-        if {"S1", "S2"} & need and not all(row & r for r in rows):
+        need = self.need
+        if {"S1", "S2"} & need and not self.rows_nonempty(row):
             return None
-        if "S3" in need and not all(row & col for col in cols):
+        if "S3" in need and not self.cols_nonempty(row):
             return None
-        masks = rows if "S4" in need else []
+        masks = self.rows if "S4" in need else []
         if "correctness" not in need:
-            return sum(cols), masks
-        allowed = singles = 0
-        for col in cols:
-            encrypted = row & col  # M_x, in column x
-            if not encrypted:
-                allowed |= col
-            elif not encrypted & (encrypted - 1):
-                allowed |= encrypted
-                singles |= encrypted
-        cover = [singles & r for r in rows]
-        return (allowed, masks + cover) if all(cover) else None
+            return sum(self.cols), masks
+        allowed, singles = self.key_columns(row)
+        if not self.rows_nonempty(singles):
+            return None
+        return allowed, masks + [singles & r for r in self.rows]
 
     def through_pad(self, u: int, pad: Sequence[int]) -> int:
         """The code whose column pad[x] is column x of `u`."""
@@ -266,8 +288,8 @@ class _BlockSolver:
         return (
             self.p == self.k
             and code.bit_count() == self.p
-            and all(code & r for r in self.rows)
-            and all(code & col for col in self.cols)
+            and self.rows_nonempty(code)
+            and self.cols_nonempty(code)
         )
 
     def verdicts(self, record: SolutionRecord) -> dict[str, bool]:
@@ -281,7 +303,7 @@ class _BlockSolver:
         u_blocks = [self.through_pad(d, unpad) for d in record.decrypt_codes]
         bijective = all(self.is_permutation(d) for d in record.decrypt_codes)
         inverse = bijective and e_rows == u_blocks
-        s1 = all(e & r for e in e_rows for r in self.rows)
+        s1 = all(map(self.rows_nonempty, e_rows))
         # e, from P x K to C, is a bijection: each ciphertext has exactly
         # one preimage, no two the same, and there are as many as pairs
         e_bijection = (
@@ -295,8 +317,8 @@ class _BlockSolver:
             "encryption_rebuilt_from_inverse": inverse,
             "S1": s1,
             "S2": s1,
-            "S3": all(e & col for e in e_rows for col in self.cols),
-            "S4": all(d & r for d in record.decrypt_codes for r in self.rows),
+            "S3": all(map(self.cols_nonempty, e_rows)),
+            "S4": all(map(self.rows_nonempty, record.decrypt_codes)),
             "encryption_not_invertible": s1 and e_bijection == (p <= 1),
         }
 
@@ -439,17 +461,26 @@ def _check_theorems_on(
     without S1, where it is refused (module docstring).
     """
     holds = solver.verdicts(record)
-    label = f"triple {record.triple()}"
+    failed = []
     if not holds["fibers_bijective"]:
-        counterexamples.append(f"{label}: decryption fiber not a bijection")
+        failed.append("decryption fiber not a bijection")
     if not holds["encryption_rebuilt_from_inverse"]:
         checks = protocols.Verification(record.as_instance(), given=("correctness",))
-        witness = checks["encryption_rebuilt_from_inverse"].witness
-        counterexamples.append(f"{label}: {witness}")
+        failed.append(checks["encryption_rebuilt_from_inverse"].witness)
     if holds["S1"] and not all(holds[name] for name in ("S2", "S3", "S4")):
-        counterexamples.append(
-            f"{label}: primary security holds but a derived property fails"
-        )
+        failed.append("primary security holds but a derived property fails")
+    if failed:
+        # the codes pass Python's default limit of 4,300 decimal digits from
+        # 14,284 bits, so the limit is lifted for this wording only
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            label = f"triple {record.triple()}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        counterexamples.extend(f"{label}: {why}" for why in failed)
     return holds["S1"]
 
 
@@ -499,9 +530,9 @@ def sample_candidates(
     toward plausible solutions (near-functional decryption families with
     the maximal compatible encryption), so the theorem checks are exercised
     on actual solutions.  Correctness is always checked honestly first, by
-    `_BlockSolver.solve`'s rule, and the theorems are then decided on each
-    correct record as in `verify_theorems`.  The pad is the permutation of
-    lexicographic rank ``rng.randrange(k!)``.
+    the rules `_BlockSolver.solve` reads, and the theorems are then decided
+    on each correct record as in `verify_theorems`.  The pad is the
+    permutation of lexicographic rank ``rng.randrange(k!)``.
 
     The draws on ``random.Random(seed)`` are, per candidate and in order:
     ``randrange(k!)``; for a uniform triple (even i), c x
@@ -510,27 +541,27 @@ def sample_candidates(
     0.2, ``randrange(p)`` then ``randrange(k)``.  Beyond its draws a
     candidate costs one pass of integer work, block by block, up to the
     first incorrect block; what depends only on (p, k) is made once per
-    call.  A guided block is checked in the columns of its decryption code
-    d, and a uniform one in those of u, d read through the pad: the rule
-    goes column by column, so moving every column through the pad changes
-    no verdict.  So the pad is decoded only when a uniform block reaches u
-    or a record is kept.  Nothing is remembered from one candidate to the
-    next.
+    call.  Each block is decided by the solver's `key_columns` and
+    `rows_nonempty`, as `solve` decides it.  A guided block's encryption
+    row is the `singles` of its decryption code d, and it is checked in the
+    columns of d; a uniform one is checked in those of u, d read through
+    the pad.  The rules go column by column, so moving every column through
+    the pad changes no verdict, and the pad is decoded only when a uniform
+    block reaches u or a record is kept.  Nothing is remembered from one
+    candidate to the next.
     """
     p, k, c = sizes
     rng = random.Random(seed)
     randrange, getrandbits, uniform = rng.randrange, rng.getrandbits, rng.random
     solver = _BlockSolver(p, k, frozenset({"correctness"}))
-    cols, through_pad = solver.cols, solver.through_pad
+    key_columns, rows_nonempty = solver.key_columns, solver.rows_nonempty
+    through_pad = solver.through_pad
     n_pads, row_bits = math.factorial(k), p * k
     row_mask = (1 << row_bits) - 1
     blocks = range(c)
     at_block = [(c - 1 - b) * row_bits for b in blocks]
     # in_column[x][m] is the code of the pair (message m, key x)
     in_column = [[solver.bit(m, x) for m in range(p)] for x in range(k)]
-    # a code has an empty message row exactly when (code - low) & ~code &
-    # high is nonzero: the lowest empty row borrows into its first column
-    low, high = sum(in_column[-1]), sum(in_column[0])
 
     counterexamples: list[str] = []
     solutions = 0
@@ -556,32 +587,21 @@ def sample_candidates(
         pad = None
         for b in blocks:
             if guided:
-                # encrypt (m, x) to this block when d decrypts x to m alone
+                # the row is d's singles: encrypt (m, x) to this block
+                # when d decrypts x to m alone
                 u = d_codes[b]
-                row = 0
-                for col in cols:
-                    part = u & col
-                    if not part & (part - 1):
-                        row |= part
-                e_rows.append(row)
+                e_rows.append(row := key_columns(u)[1])
             else:
                 row = e_code >> at_block[b] & row_mask
-            allowed = singles = 0
-            for col in cols:
-                encrypted = row & col  # M_x, in column x
-                if not encrypted:
-                    allowed |= col
-                elif not encrypted & (encrypted - 1):
-                    allowed |= encrypted
-                    singles |= encrypted
-            if (singles - low) & ~singles & high:
-                break
+            allowed, singles = key_columns(row)
             if not guided:
+                # coverage by the row alone first: a failing block needs no pad
+                if not rows_nonempty(singles):
+                    break
                 if pad is None:
                     pad, unpad = _pad_of_rank(rank, k)
                 u = through_pad(d_codes[b], unpad)
-            singles &= u
-            if u & ~allowed or (singles - low) & ~singles & high:
+            if u & ~allowed or not rows_nonempty(singles & u):
                 break
         else:
             if pad is None:

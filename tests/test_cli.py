@@ -662,6 +662,15 @@ class TestTheorems:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sampled"] == 2000
 
+    def test_zero_samples_is_exhaustive(self, capsys):
+        # 0, the default, means "check every candidate", not "sample none"
+        printed = []
+        for extra in ([], ["--samples", "0"]):
+            assert main(["theorems", "--sizes", "2,2,2", *extra]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        assert "sampled" not in printed[0].out
+
     def test_counterexamples_with_long_codes_are_printed(self, capsys):
         # an encryption code of 14,400 bits has 4,335 decimal digits
         assert main(["theorems", "--sizes", "1,300,48", "--samples", "2"]) == 1

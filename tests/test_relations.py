@@ -638,3 +638,34 @@ class TestStructuralHelpers:
     def test_swap_involution(self):
         s = swap(2, 3)
         assert compose(s, swap(3, 2)) == identity(6)
+
+
+class TestFirstDifference:
+    @given(rels(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_in_row_major_order(self, r, data):
+        flips = data.draw(
+            st.lists(st.booleans(), min_size=r.bits.size, max_size=r.bits.size)
+        )
+        s = Rel(r.src, r.dst, r.bits ^ np.array(flips, bool).reshape(r.bits.shape))
+        got = relations._first_difference(r, s)
+        where = [tuple(map(int, at)) for at in np.argwhere(r.bits != s.bits)]
+        if not where:
+            assert got is None
+        else:
+            row, col = where[0]
+            assert got == (row, col, bool(r.bits[row, col]))
+
+    def test_lists_no_differences_beyond_the_first(self):
+        # two 4096 x 4096 relations that differ everywhere: the != matrix
+        # is 16 MiB, and listing every difference as coordinates 256 MiB
+        n = 4096
+        r, s = full(n, n), empty(n, n)
+        tracemalloc.start()
+        try:
+            assert relations._first_difference(r, s) == (0, 0, True)
+            assert relations._first_difference(s, r) == (0, 0, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import oracle_naive
@@ -470,6 +471,36 @@ class TestTheorems:
         assert len(records) == report.solutions > 0
         assert self._assert_no_invertible_encryption_under_s1(records) > 0
 
+    def test_long_codes_are_worded_under_the_default_digit_limit(self, monkeypatch):
+        # an encryption code of 14,400 bits has 4,335 decimal digits; the
+        # wording must not depend on the interpreter-wide limit, which the
+        # CLI lifts.  The cells that locate a failed inverse are stubbed.
+        import sys
+
+        from relcat import protocols
+
+        class Located:
+            def __init__(self, inst, given):
+                pass
+
+            def __getitem__(self, name):
+                return protocols.EquationVerdict(name, False, "located")
+
+        monkeypatch.setattr(protocols, "Verification", Located)
+        monkeypatch.setattr(SolutionRecord, "as_instance", lambda record: None)
+        limit = sys.get_int_max_str_digits()
+        try:
+            worded = []
+            for digits in (4300, 0):
+                sys.set_int_max_str_digits(digits)
+                report = sample_candidates((1, 300, 48), 2)
+                assert sys.get_int_max_str_digits() == digits
+                worded.append(report.counterexamples)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert worded[0] == worded[1] and len(worded[0]) > 0
+        assert len(worded[0][0].split(",")[0]) > 4300
+
     def test_sampled_fallback(self):
         report = sample_candidates((3, 3, 3), 4000, seed=11)
         assert report.passed
@@ -632,3 +663,156 @@ class TestRecordSerialization:
             assert relation_code(e) == record.encrypt_code
             assert tuple(relation_code(d) for d in ds) == record.decrypt_codes
             assert perm.mapping == record.pad_mapping
+
+
+# c = 1 and every (p, k) with p·k <= 6, at the identity pad and, when
+# there is another, at a k-cycle
+BASIS_CASES = [
+    (p, k, pad)
+    for p in range(1, 7)
+    for k in range(1, 6 // p + 1)
+    for pad in {tuple(range(k)): None, tuple(range(1, k)) + (0,): None}
+]
+BASIS_IDS = [f"{p},{k}-{''.join(map(str, pad))}" for p, k, pad in BASIS_CASES]
+
+
+class TestBasisImages:
+    """The per-block rules of `_BlockSolver` derived from the equations that
+    `protocols` builds.  Rel is enriched in complete join-semilattices, so
+    each side of an equation, as a function of the one relation it reads,
+    is the union of that side built at each single pair; correctness reads
+    encryption and decryption, and is the union over pairs of pairs.  The
+    sides are captured from `protocols._verdict`, which every checker calls
+    with (name, lhs, rhs), at c = 1, where an encryption row and a
+    decryption block are whole relations."""
+
+    @staticmethod
+    def _flat(cell):
+        """A cell's component shapes, and its bits as one integer."""
+        rels = [rel for row in cell.components for rel in row]
+        bits = np.concatenate([rel.bits.ravel() for rel in rels])
+        return (
+            tuple(rel.bits.shape for rel in rels),
+            int.from_bytes(np.packbits(bits).tobytes(), "big"),
+        )
+
+    @pytest.fixture
+    def sides(self, monkeypatch):
+        """sides(p, k, pad, e, d, names) is {name: (lhs, rhs)}, each side
+        flattened, for the checks named, at encryption row e and decryption
+        block d."""
+        from relcat import protocols
+
+        captured = {}
+        verdict = protocols._verdict
+
+        def capture(name, lhs, rhs):
+            result = verdict(name, lhs, rhs)
+            flat = TestBasisImages._flat(lhs), TestBasisImages._flat(rhs)
+            # the shapes agree, so comparing the integers decides the equation
+            assert flat[0][0] == flat[1][0]
+            assert result.holds == (flat[0][1] == flat[1][1])
+            captured[name] = flat[0][1], flat[1][1]
+            return result
+
+        monkeypatch.setattr(protocols, "_verdict", capture)
+
+        def build(p, k, pad, e, d, names):
+            inst = SolutionRecord((p, k, 1), e, (d,), pad, {}).as_instance()
+            captured.clear()
+            for name in names:
+                if name == "correctness":
+                    check_correctness(inst)
+                else:
+                    check_security(inst, name)
+            assert set(captured) == set(names)
+            return dict(captured)
+
+        return build
+
+    @staticmethod
+    def _unions(images):
+        """The union of the images of its bits, for every code."""
+        out = [0]
+        for code in range(1, 1 << len(images)):
+            low = code & -code
+            out.append(out[code ^ low] | images[low.bit_length() - 1])
+        return out
+
+    @pytest.mark.parametrize("p, k, pad", BASIS_CASES, ids=BASIS_IDS)
+    def test_rules_follow_from_the_equations(self, sides, p, k, pad):
+        import random
+
+        from relcat.search import _BlockSolver
+
+        n = p * k
+        encrypt_side = ("S1", "S2", "S3")
+        # the images: S1-S3 at each pair of e, S4 at each pair of d, and
+        # correctness at each pair of pairs; the right sides never move
+        rhs = {}
+        images = {name: [] for name in ("S1", "S2", "S3", "S4")}
+        both = []
+        for i in range(n):
+            for name, (lhs, right) in sides(p, k, pad, 1 << i, 0, encrypt_side).items():
+                images[name].append(lhs)
+                assert rhs.setdefault(name, right) == right
+            (lhs, right), = sides(p, k, pad, 0, 1 << i, ("S4",)).values()
+            images["S4"].append(lhs)
+            assert rhs.setdefault("S4", right) == right
+            row = []
+            for j in range(n):
+                (lhs, right), = sides(p, k, pad, 1 << i, 1 << j, ("correctness",)).values()
+                row.append(lhs)
+                assert rhs.setdefault("correctness", right) == right
+            both.append(row)
+        assert images["S1"] == images["S2"]
+
+        tables = {name: self._unions(images[name]) for name in images}
+        # correctness[e][d], built up one bit of e at a time
+        by_e = [self._unions(row) for row in both]
+        correct = [[0] * (1 << n)]
+        for e in range(1, 1 << n):
+            low = (e & -e).bit_length() - 1
+            correct.append([a | b for a, b in zip(correct[e ^ (1 << low)], by_e[low])])
+
+        # union-preservation, with the empty union at the empty relation
+        rng = random.Random(p * 10 + k)
+        full = (1 << n) - 1
+        points = [(0, 0), (full, full), (0, full), (full, 0)]
+        points += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(4)]
+        for e, d in points:
+            built = sides(p, k, pad, e, d, CONSTRAINT_NAMES)
+            assert built["correctness"][0] == correct[e][d], (e, d)
+            for name in encrypt_side:
+                assert built[name][0] == tables[name][e], (name, e)
+            assert built["S4"][0] == tables["S4"][d], d
+
+        # every verdict derived from the images against `solve`'s, each
+        # constraint decided once per (row, u)
+        subsets = [
+            frozenset(sub)
+            for size in range(6)
+            for sub in itertools.combinations(CONSTRAINT_NAMES, size)
+        ]
+        solvers = [_BlockSolver(p, k, need) for need in subsets]
+        unpad = sorted(range(k), key=pad.__getitem__)
+        u_of = [solvers[0].through_pad(d, unpad) for d in range(1 << n)]
+        compared = mismatches = 0
+        for row in range(1 << n):
+            solved = [solver.solve(row) for solver in solvers]
+            encrypt_holds = {name: tables[name][row] == rhs[name] for name in encrypt_side}
+            for d in range(1 << n):
+                holds = {
+                    **encrypt_holds,
+                    "S4": tables["S4"][d] == rhs["S4"],
+                    "correctness": correct[row][d] == rhs["correctness"],
+                }
+                u = u_of[d]
+                for need, found in zip(subsets, solved):
+                    passes = found is not None and not u & ~found[0] and all(
+                        u & mask for mask in found[1]
+                    )
+                    mismatches += passes != all(holds[name] for name in need)
+                    compared += 1
+        assert compared == 32 << 2 * n
+        assert mismatches == 0
