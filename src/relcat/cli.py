@@ -49,8 +49,12 @@ def _budget() -> int:
         raise ValueError(f"RELCAT_BUDGET must be an integer, got {raw!r}") from None
 
 
+# `json.dumps` builds an encoder per call when given options; one is enough
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(payload: dict, stream) -> None:
-    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    stream.write(_ENCODER.encode(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +229,15 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
     return p, k, c
 
 
+def _refuse_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+
+
 def cmd_enumerate(args) -> int:
     try:
         sizes = _parse_sizes(args.sizes)
+        _refuse_threads(args.threads)
         constraints = frozenset(
             x for x in (args.constraints or "correctness").split(",") if x
         )
@@ -274,6 +284,10 @@ def cmd_theorems(args) -> int:
         sizes = _parse_sizes(args.sizes)
         if args.samples < 0:
             raise ValueError(f"--samples must not be negative, got {args.samples}")
+        if args.seed < 0:
+            # random.Random(-s) draws the stream of random.Random(s)
+            raise ValueError(f"--seed must not be negative, got {args.seed}")
+        _refuse_threads(args.threads)
         spec = search.SearchSpec(*sizes, budget=_budget())
         if args.samples > spec.budget:
             raise ValueError(
@@ -363,7 +377,7 @@ def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
         help="comma-separated subset of correctness,S1,S2,S3,S4",
     )
     p.add_argument("--dedup", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=_integer, default=1, help=THREADS_HELP)
     p.add_argument(
         "--timings", action="store_true", help="include wall-clock time in the summary"
     )
@@ -378,7 +392,7 @@ def _theorems_arguments(p: argparse.ArgumentParser) -> None:
         help="sample this many candidates instead of exhausting the space",
     )
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
+    p.add_argument("--threads", type=_integer, default=1, help=THREADS_HELP)
     _add_format(p)
 
 
@@ -409,10 +423,11 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command line.  Every command is listed, so help, usage and
-    choice errors are the same whatever `command` is; only the named
-    command, or every command when it is None, gets its arguments,
-    ``-h`` included."""
+    """The command line.  When `command` names a command, only that
+    command is registered, and the metavar lists every command, so the
+    usage line is the same whatever `command` is.  Otherwise every command
+    is registered, and the help and the choice and missing-command errors
+    list them all."""
     parser = argparse.ArgumentParser(
         prog="relcat",
         description=(
@@ -420,13 +435,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             "relations"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        selected = command is None or command == name
-        p = sub.add_parser(name, help=help_text, add_help=selected)
-        if selected:
-            add_arguments(p)
-            p.set_defaults(func=handler)
+    if command in COMMANDS:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -436,8 +454,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    # a parser per call, with the arguments of the command it runs only
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    # a parser per call, with the subparser of the command it runs only
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

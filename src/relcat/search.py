@@ -521,6 +521,18 @@ def _pad_of_rank(rank: int, k: int) -> tuple[list[int], list[int]]:
     return pad, sorted(range(k), key=pad.__getitem__)
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from ``range(n)``, n >= 1, by the calls
+    ``random.Random.randrange(n)`` makes: ``getrandbits(n.bit_length())``
+    until the result is below n.  The stream advances exactly as under
+    `randrange`, and the same values come out, without its wrappers."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def sample_candidates(
     sizes: tuple[int, int, int], count: int, seed: int = 0
 ) -> TheoremReport:
@@ -532,13 +544,16 @@ def sample_candidates(
     on actual solutions.  Correctness is always checked honestly first, by
     the rules `_BlockSolver.solve` reads, and the theorems are then decided
     on each correct record as in `verify_theorems`.  The pad is the
-    permutation of lexicographic rank ``rng.randrange(k!)``.
+    permutation of lexicographic rank ``below(k!)``.
 
-    The draws on ``random.Random(seed)`` are, per candidate and in order:
-    ``randrange(k!)``; for a uniform triple (even i), c x
-    ``getrandbits(p*k)`` and then ``getrandbits(p*k*c)``; for a guided one
-    (odd i), per block, k x ``randrange(p)``, one ``random()`` and, below
-    0.2, ``randrange(p)`` then ``randrange(k)``.  Beyond its draws a
+    Write ``below(n)`` for a draw from ``range(n)`` by `_below`: calls of
+    ``getrandbits(n.bit_length())`` until one is below n, the calls
+    ``randrange(n)`` makes.  The calls on ``random.Random(seed)`` are, per
+    candidate and in order: ``below(k!)``; for a uniform triple (even i),
+    c x ``getrandbits(p*k)`` and then ``getrandbits(p*k*c)``; for a guided
+    one (odd i), per block, k x ``below(p)``, one ``random()`` and, below
+    0.2, ``below(p)`` then ``below(k)``.  So every value, and every
+    report, is the one ``randrange`` would give.  Beyond its draws a
     candidate costs one pass of integer work, block by block, up to the
     first incorrect block; what depends only on (p, k) is made once per
     call.  Each block is decided by the solver's `key_columns` and
@@ -552,7 +567,7 @@ def sample_candidates(
     """
     p, k, c = sizes
     rng = random.Random(seed)
-    randrange, getrandbits, uniform = rng.randrange, rng.getrandbits, rng.random
+    getrandbits, uniform = rng.getrandbits, rng.random
     solver = _BlockSolver(p, k, frozenset({"correctness"}))
     key_columns, rows_nonempty = solver.key_columns, solver.rows_nonempty
     through_pad = solver.through_pad
@@ -567,17 +582,17 @@ def sample_candidates(
     solutions = 0
     with_s1 = 0
     for i in range(count):
-        rank = randrange(n_pads)
+        rank = _below(getrandbits, n_pads)
         guided = i & 1
         d_codes: list[int] = []
         if guided:
             for _ in blocks:
                 d = 0
                 for column in in_column:
-                    d |= column[randrange(p)]
+                    d |= column[_below(getrandbits, p)]
                 if uniform() < 0.2:
-                    m = randrange(p)
-                    d ^= in_column[randrange(k)][m]
+                    m = _below(getrandbits, p)
+                    d ^= in_column[_below(getrandbits, k)][m]
                 d_codes.append(d)
             e_rows = []  # in the columns of d
         else:

@@ -692,6 +692,8 @@ class TestTheorems:
             (["--sizes", "0,2,2", "--samples", "3"], None),
             (["--sizes", "2,2,2"], "abc"),
             (["--sizes", "2,2,2", "--samples", "-5"], None),
+            (["--sizes", "2,2,2", "--samples", "5", "--seed", "-1"], None),
+            (["--sizes", "2,2,2", "--seed", "-1"], None),
         ],
     )
     def test_usage_errors(self, capsys, monkeypatch, argv, budget):
@@ -819,6 +821,55 @@ def test_each_call_builds_its_own_parser(capsys, monkeypatch):
     for _ in range(2):
         assert main(["enumerate", "--sizes", "1,1,1"]) == 0
     assert len(built) == 2 and built[0] is not built[1]
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        # the command's subparser only
+        (["enumerate", "--sizes", "1,1,1"], 2),
+        # every command, for the choice error that lists them all
+        (["bogus"], 6),
+    ],
+)
+def test_a_call_builds_the_parsers_it_needs(capsys, monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert len(built) == parsers
+
+
+def test_a_negative_seed_is_refused(capsys):
+    # random.Random(-1) draws the stream of random.Random(1), so --seed -1
+    # would print what --seed 1 prints
+    argv = ["theorems", "--sizes", "3,3,3", "--samples", "2000"]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must not be negative, got -1\n"
+    assert main([*argv, "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["enumerate", "theorems"])
+@pytest.mark.parametrize("threads", ["٣", " 1_0 ", "-5", "0"])
+def test_threads_is_a_positive_ascii_integer(capsys, command, threads):
+    try:
+        code = main([command, "--sizes", "1,1,1", "--threads", threads])
+    except SystemExit as exc:  # argparse refuses the spelling
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--threads" in errors[0], captured.err
 
 
 class TestConsoleScript:

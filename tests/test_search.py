@@ -1,8 +1,11 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_naive
 import oracle_sampler
@@ -547,17 +550,14 @@ class TestSamplerOracle:
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 4, 3)], ids=["3,3,3", "2,4,3"])
     def test_same_public_draws_in_the_same_order(self, monkeypatch, sizes):
-        import random
-
+        # the calls that advance the generator, on both sides: the oracle's
+        # randrange reaches the recorded getrandbits, so equal streams mean
+        # equal randrange values
         class Recording(random.Random):
             def __init__(self, seed):
                 self.calls = []
                 streams.append(self.calls)
                 super().__init__(seed)
-
-            def randrange(self, *args):
-                self.calls.append(("randrange", args))
-                return super().randrange(*args)
 
             def getrandbits(self, n):
                 self.calls.append(("getrandbits", n))
@@ -573,6 +573,36 @@ class TestSamplerOracle:
         oracle_sampler.sample_candidates(sizes, 300, seed=4)
         got, want = streams
         assert got == want and len(got) > 300
+
+    # every n = 2^j - 1, 2^j, 2^j + 1 up to 2^72 + 1, and k! up to 30!
+    BOUNDS = sorted(
+        {1, 2, 3}
+        | {2**j + d for j in range(1, 73) for d in (-1, 0, 1)}
+        | {math.factorial(k) for k in range(1, 31)}
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        calls=st.lists(
+            st.one_of(
+                st.tuples(st.just("below"), st.sampled_from(BOUNDS)),
+                st.tuples(st.just("getrandbits"), st.integers(0, 80)),
+                st.tuples(st.just("random"), st.none()),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_bounded_draws_are_randrange_draw_for_draw(self, seed, calls):
+        got, want = random.Random(seed), random.Random(seed)
+        for name, arg in calls:
+            if name == "below":
+                assert search._below(got.getrandbits, arg) == want.randrange(arg)
+            elif name == "getrandbits":
+                assert got.getrandbits(arg) == want.getrandbits(arg)
+            else:
+                assert got.random() == want.random()
+        assert got.getstate() == want.getstate()
 
     def test_memory_does_not_grow_with_the_count(self):
         # nothing is remembered between candidates: at (8,8,8) every row,
