@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from relcat import dsl, protocols, search
 from relcat.generators import cup_from_permutation, pad_permutation
@@ -44,9 +44,12 @@ def _budget() -> int:
     if not raw:
         return search.DEFAULT_BUDGET
     try:
-        return _integer(raw)
+        budget = _integer(raw)
     except ValueError:
         raise ValueError(f"RELCAT_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"RELCAT_BUDGET must not be negative, got {budget}")
+    return budget
 
 
 # `json.dumps` builds an encoder per call when given options; one is enough
@@ -55,6 +58,87 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def _emit_json(payload: dict, stream) -> None:
     stream.write(_ENCODER.encode(payload) + "\n")
+
+
+class _Rendered(dict):
+    """The JSON text of each key, rendered by `render` at its first lookup."""
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _bit_rows(code: int, width: int, count: int) -> list[str]:
+    """The `count` rows of `width` bits of a code as 0/1 strings, most
+    significant first: the matrix rows of a relation's bit code."""
+    bits = format(code, f"0{width * count}b")
+    return [bits[i * width : (i + 1) * width] for i in range(count)]
+
+
+def _shape_texts(sizes: tuple[int, int, int]) -> tuple:
+    """For records of these sizes: the text of the sizes, and the texts of
+    encryption row codes and of decryption codes, each rendered at its
+    first lookup."""
+    p, k, _ = sizes
+    encode = _ENCODER.encode
+    return (
+        encode(list(sizes)),
+        _Rendered(lambda row: encode(format(row, f"0{p * k}b"))),
+        _Rendered(lambda d: encode(_bit_rows(d, k, p))),
+    )
+
+
+def _record_lines(records) -> Iterator[str]:
+    """One JSON line per solution record, keys sorted, as `_ENCODER` writes
+    the record's object: ``canonical`` (the orbit's least triple, on
+    records that `--dedup` kept), ``decrypt`` (per ciphertext, the rows of
+    its K -> P block as 0/1 strings), ``encrypt`` (the P x K row of each
+    ciphertext as a 0/1 string), ``pad``, ``sizes`` and ``verdicts``.
+
+    A value inside an object is encoded as it is alone, so each line is
+    joined from texts encoded once: each distinct pad and verdict map (by
+    identity) once per call, and each distinct row code and decryption code
+    once per run of records of one sizes triple (a search's records share
+    one).  Records with one encryption code are adjacent in the search's
+    order, so its text is kept from the record before.  Nothing is kept
+    between calls.
+    """
+    encode = _ENCODER.encode
+    pads = _Rendered(lambda pad: encode(list(pad)))
+    verdicts: dict = {}  # id -> (map, text); holding the map keeps its id
+    sizes = e_code = None
+    for rec in records:
+        if rec.sizes != sizes:
+            sizes, e_code = rec.sizes, None
+            sizes_text, rows, blocks = _shape_texts(sizes)
+            p, k, c = sizes
+            mask = (1 << p * k) - 1
+            shifts = range((c - 1) * p * k, -1, -p * k)
+        if rec.encrypt_code != e_code:
+            e_code = rec.encrypt_code
+            e_text = ",".join([rows[e_code >> s & mask] for s in shifts])
+        held = verdicts.get(id(rec.verdicts))
+        if held is None:
+            held = verdicts[id(rec.verdicts)] = (
+                rec.verdicts, encode(dict(rec.verdicts))
+            )
+        if rec.canonical is None:
+            head = "{"
+        else:
+            ce, cds, cp = rec.canonical
+            canonical = encode(
+                {"decrypt_codes": list(cds), "encrypt_code": ce, "pad": list(cp)}
+            )
+            head = f'{{"canonical":{canonical},'
+        yield (
+            f'{head}"decrypt":[{",".join(map(blocks.__getitem__, rec.decrypt_codes))}],'
+            f'"encrypt":[{e_text}],"pad":{pads[rec.pad_mapping]},'
+            f'"sizes":{sizes_text},"verdicts":{held[1]}}}\n'
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +337,11 @@ def cmd_enumerate(args) -> int:
     started = time.perf_counter()
     try:
         records = search.enumerate_solutions(spec)
-    except search.BudgetExceeded as exc:
+    except (search.BudgetExceeded, search.TooManyRecords) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    for record in records:
-        _emit_json(record.to_json(), sys.stdout)
+    sys.stdout.writelines(_record_lines(records))
     summary = {
         "summary": {
             "sizes": list(sizes),
@@ -304,7 +387,7 @@ def cmd_theorems(args) -> int:
     else:
         try:
             report = search.verify_theorems(spec)
-        except search.BudgetExceeded as exc:
+        except (search.BudgetExceeded, search.TooManyRecords) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     payload = {

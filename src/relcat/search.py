@@ -73,9 +73,11 @@ from relcat.relations import (
 __all__ = [
     "BudgetExceeded",
     "DEFAULT_BUDGET",
+    "MAX_RECORDS",
     "SearchSpec",
     "SolutionRecord",
     "TheoremReport",
+    "TooManyRecords",
     "candidate_count",
     "dedup_records",
     "enumerate_solutions",
@@ -84,6 +86,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2**30
+# Every record is held until the search ends, at about 270 bytes each, so
+# this cap is about 1.1 GB of records
+MAX_RECORDS = 2**22
 CONSTRAINT_NAMES = ("correctness", "S1", "S2", "S3", "S4")
 # Python prints integers of at most 4,300 decimal digits by default, and
 # every integer below 2^14284 has at most that many.
@@ -103,6 +108,18 @@ class BudgetExceeded(RuntimeError):
         super().__init__(
             f"candidate space of {shown} composite checks exceeds the "
             f"budget of {self.budget}; raise RELCAT_BUDGET to override"
+        )
+
+
+class TooManyRecords(RuntimeError):
+    """The solutions exceed `MAX_RECORDS`.  `records` is their exact
+    count, known from the one-ciphertext table before any is built."""
+
+    def __init__(self, sizes: tuple[int, int, int], records: int):
+        self.records = records
+        super().__init__(
+            f"{records} solutions at sizes {','.join(map(str, sizes))} exceed "
+            f"the cap of {MAX_RECORDS} records held at once"
         )
 
 
@@ -162,30 +179,6 @@ class SolutionRecord:
         return protocols.ProtocolInstance(
             ps, ks, cs, e, ControlledOp(cs, ks, ps, ds), cup_from_permutation(perm)
         )
-
-    def to_json(self) -> dict:
-        p, k, c = self.sizes
-        out = {
-            "sizes": list(self.sizes),
-            "encrypt": _rows(self.encrypt_code, p * k, c),
-            "decrypt": [_rows(code, k, p) for code in self.decrypt_codes],
-            "pad": list(self.pad_mapping),
-            "verdicts": dict(sorted(self.verdicts.items())),
-        }
-        if self.canonical is not None:
-            ce, cds, cp = self.canonical
-            out["canonical"] = {
-                "encrypt_code": ce,
-                "decrypt_codes": list(cds),
-                "pad": list(cp),
-            }
-        return out
-
-
-def _rows(code: int, n_src: int, n_dst: int) -> list[str]:
-    """Matrix rows of the relation with this bit code, as 0/1 strings."""
-    bits = format(code, f"0{n_src * n_dst}b")
-    return [bits[i * n_src : (i + 1) * n_src] for i in range(n_dst)]
 
 
 def _blocks(code: int, width: int, count: int) -> list[int]:
@@ -335,12 +328,14 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
     encryption row, the passing decryptions are the submasks of the
     solver's `allowed` code that meet every mask, sorted per pad; products
     of the table's entries are emitted ascending on (encrypt, decrypt, pad).
+    Their number, k! times the c-th power of the table's passing
+    decryptions summed over rows, is known first: past `MAX_RECORDS` the
+    search raises `TooManyRecords` before it builds a record.
     """
     p, k, c = spec.sizes
     need = spec.constraints
     solver = _BlockSolver(p, k, need)
-    pads = list(itertools.permutations(range(k)))
-    table: dict[int, list[tuple[int, ...]]] = {}
+    passing_by_row: dict[int, list[int]] = {}
     for row in range(1 << (p * k)):
         solved = solver.solve(row)
         if solved is None:
@@ -354,10 +349,19 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
                 break
             u = (u - 1) & allowed
         if passing:
-            table[row] = [
-                tuple(sorted(solver.through_pad(u, pad) for u in passing))
-                for pad in pads
-            ]
+            passing_by_row[row] = passing
+    # a solution picks a pad, then a row and a decryption per ciphertext
+    records = math.factorial(k) * sum(map(len, passing_by_row.values())) ** c
+    if records > MAX_RECORDS:
+        raise TooManyRecords(spec.sizes, records)
+    pads = list(itertools.permutations(range(k)))
+    table = {
+        row: [
+            tuple(sorted(solver.through_pad(u, pad) for u in passing))
+            for pad in pads
+        ]
+        for row, passing in passing_by_row.items()
+    }
 
     # every record passes every constraint, so all share one read-only map
     verdicts = MappingProxyType(dict.fromkeys(sorted(need), True))
@@ -381,7 +385,8 @@ def enumerate_solutions(spec: SearchSpec) -> list[SolutionRecord]:
     """All candidate triples satisfying the requested constraints.
 
     Emission order is ascending on (encrypt bits, decrypt bits, pad); the
-    candidate space is refused outright when it exceeds the budget.
+    candidate space is refused outright when it exceeds the budget, and the
+    solutions when they exceed `MAX_RECORDS`.
     """
     # The count is at least 2^(2pkc); it is built only if that does not decide.
     p, k, c = spec.sizes

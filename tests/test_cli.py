@@ -1,5 +1,7 @@
 import argparse
 import collections
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -10,8 +12,9 @@ import time
 import jsonschema
 import pytest
 
-from relcat import protocols
-from relcat.cli import main
+import oracle_record
+from relcat import protocols, search
+from relcat.cli import _record_lines, main
 
 SPEC_DIR = os.path.join(
     os.path.dirname(__file__), "..", "src", "relcat", "specs"
@@ -621,6 +624,68 @@ class TestEnumerate:
         assert first == second
 
 
+def _oracle_lines(records) -> list[str]:
+    return [
+        json.dumps(oracle_record.record_json(r), sort_keys=True, separators=(",", ":"))
+        + "\n"
+        for r in records
+    ]
+
+
+class TestRecordLines:
+    """`_record_lines` against the dict that each record's JSON object was
+    built as, field by field, before the writer rendered pieces once."""
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
+    @pytest.mark.parametrize(
+        "sizes", [(1, 1, 1), (2, 2, 2), (1, 2, 3)], ids=["1,1,1", "2,2,2", "1,2,3"]
+    )
+    def test_every_constraint_subset(self, sizes, dedup):
+        for n in range(len(search.CONSTRAINT_NAMES) + 1):
+            for subset in itertools.combinations(search.CONSTRAINT_NAMES, n):
+                spec = search.SearchSpec(
+                    *sizes, constraints=frozenset(subset), dedup=dedup
+                )
+                records = search.enumerate_solutions(spec)
+                assert list(_record_lines(records)) == _oracle_lines(records), subset
+
+    def test_canonical_records(self):
+        records = search.enumerate_solutions(search.SearchSpec(2, 3, 2, dedup=True))
+        assert len(records) == 634
+        assert all(r.canonical is not None for r in records)
+        assert list(_record_lines(records)) == _oracle_lines(records)
+
+    def test_codes_with_leading_zero_rows(self):
+        shared = {"correctness": True, "S1": False}
+        records = [
+            search.SolutionRecord((2, 2, 3), 0b0000_0000_0110, (0, 0b0001, 0b1000),
+                                  (1, 0), shared),
+            search.SolutionRecord((2, 2, 3), 0, (0, 0, 0), (0, 1), shared),
+            search.SolutionRecord((2, 2, 3), 0, (0, 0, 1), (0, 1), {},
+                                  (0, (0, 0, 1), (0, 1))),
+            # the same encryption code at other sizes has other rows
+            search.SolutionRecord((1, 2, 6), 0, (0, 0, 0, 0, 0, 1), (1, 0), shared),
+            search.SolutionRecord((1, 3, 2), 0b000_001, (0, 0b100), (2, 0, 1),
+                                  {"S4": True}, (1, (0, 4), (2, 0, 1))),
+            search.SolutionRecord((2, 2, 3), 0, (0, 0, 0), (0, 1), shared),
+        ]
+        lines = list(_record_lines(records))
+        assert lines == _oracle_lines(records)
+        assert json.loads(lines[1])["encrypt"] == ["0000", "0000", "0000"]
+        assert json.loads(lines[3])["encrypt"] == ["00"] * 6
+        assert json.loads(lines[4])["decrypt"] == [["000"], ["100"]]
+
+    def test_enumerate_2_3_2_is_pinned(self, capsys):
+        # sha256 of the whole stdout of `relcat enumerate --sizes 2,3,2`,
+        # written when each record was encoded from its own dict
+        assert main(["enumerate", "--sizes", "2,3,2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 13_825
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0aef608364da5fa2dddabf9e187442aa524c44eb46678488b744371bf04c60cd"
+        )
+
+
 class TestTheorems:
     def test_exhaustive(self, capsys):
         assert (
@@ -846,6 +911,44 @@ def test_a_call_builds_the_parsers_it_needs(capsys, monkeypatch, argv, parsers):
     except SystemExit:
         pass
     assert len(built) == parsers
+
+
+@pytest.mark.parametrize("command", ["enumerate", "theorems"])
+def test_a_negative_budget_is_refused(capsys, monkeypatch, command):
+    monkeypatch.setenv("RELCAT_BUDGET", "-5")
+    assert main([command, "--sizes", "1,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RELCAT_BUDGET must not be negative, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, budget, message",
+    [
+        # 2^29 candidates, within the default budget
+        (["enumerate", "--sizes", "1,2,7", "--constraints", "S1"], None,
+         "71663616 solutions at sizes 1,2,7 exceed the cap of 4194304 records"),
+        (["enumerate", "--sizes", "3,3,2", "--constraints", "S1,S3"], str(10**21),
+         "110454374400 solutions at sizes 3,3,2"),
+        (["theorems", "--sizes", "1,2,8"], str(10**21),
+         "11529602 solutions at sizes 1,2,8"),
+    ],
+)
+def test_too_many_records_are_refused_at_once(
+    capsys, monkeypatch, argv, budget, message
+):
+    if budget is None:
+        monkeypatch.delenv("RELCAT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RELCAT_BUDGET", budget)
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 def test_a_negative_seed_is_refused(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -32,6 +33,7 @@ from relcat.search import (
     BudgetExceeded,
     SearchSpec,
     SolutionRecord,
+    TooManyRecords,
     candidate_count,
     dedup_records,
     enumerate_solutions,
@@ -180,6 +182,55 @@ class TestEnumerate:
                 enumerate_solutions(spec)
         else:
             assert enumerate_solutions(spec)
+
+    @pytest.mark.parametrize(
+        "sizes, constraints",
+        [
+            ((1, 2, 3), {"correctness"}),
+            ((2, 2, 2), set(CONSTRAINT_NAMES)),
+            ((2, 2, 2), {"S1"}),
+        ],
+        ids=["1,2,3", "2,2,2-all", "2,2,2-S1"],
+    )
+    def test_records_are_counted_exactly(self, monkeypatch, sizes, constraints):
+        spec = SearchSpec(*sizes, constraints=frozenset(constraints))
+        want = len(enumerate_solutions(spec))
+        monkeypatch.setattr(search, "MAX_RECORDS", want - 1)
+        with pytest.raises(TooManyRecords) as err:
+            enumerate_solutions(spec)
+        assert err.value.records == want
+        monkeypatch.setattr(search, "MAX_RECORDS", want)
+        assert len(enumerate_solutions(spec)) == want
+
+    def _refuse_building(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr(search, "SolutionRecord", build)
+        return Built
+
+    def test_too_many_records_are_refused_before_one_is_built(self, monkeypatch):
+        # 2^29 candidates, within the default budget, and 71,663,616
+        # solutions: about 19 GB of records
+        self._refuse_building(monkeypatch)
+        spec = SearchSpec(1, 2, 7, constraints=frozenset({"S1"}))
+        with pytest.raises(TooManyRecords) as err:
+            enumerate_solutions(spec)
+        assert err.value.records == 71_663_616
+        assert "71663616 solutions at sizes 1,2,7 exceed the cap" in str(err.value)
+
+    def test_the_cap_admits_2_3_3(self, monkeypatch):
+        # 663,552 solutions, about 209 MB held: the search starts building
+        built = self._refuse_building(monkeypatch)
+        with pytest.raises(built):
+            enumerate_solutions(SearchSpec(2, 3, 3, budget=10**21))
+        monkeypatch.setattr(search, "MAX_RECORDS", 663_551)
+        with pytest.raises(TooManyRecords) as err:
+            enumerate_solutions(SearchSpec(2, 3, 3, budget=10**21))
+        assert err.value.records == 663_552
 
     def test_verdicts_match_protocol_checkers(self, solutions_222):
         spec = SearchSpec(
@@ -680,7 +731,9 @@ class TestBitCodeVerdicts:
 
 class TestRecordSerialization:
     def test_json_shape(self, solutions_222):
-        payload = solutions_222[0].to_json()
+        from relcat.cli import _record_lines
+
+        payload = json.loads(next(_record_lines(solutions_222[:1])))
         assert payload["sizes"] == [2, 2, 2]
         assert len(payload["encrypt"]) == 2
         assert all(len(row) == 4 for row in payload["encrypt"])
