@@ -2,7 +2,10 @@
 and enumerate implementations.
 
 Exit codes are uniform across subcommands: 0 when every check passes, 1
-when some check fails, 2 on usage, parse, or budget errors.  JSON output is
+when some check fails, 2 on usage, parse, or budget errors.  A command
+checks only its own options; the library refuses what it cannot run, and
+`main` alone turns any refusal (a `ValueError` or `OSError`) into one
+``error:`` line on stderr and exit code 2.  JSON output is
 byte-identical across runs for the same inputs and seed; wall-clock timings
 are only included when explicitly requested.
 """
@@ -147,12 +150,8 @@ def _record_lines(records) -> Iterator[str]:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.file, "r", encoding="utf-8") as handle:
+        text = handle.read()
     report = dsl.run_source(text)
     if args.format == "json":
         payload = {
@@ -206,20 +205,11 @@ def _instance_from_file(path: str) -> protocols.ProtocolInstance:
 
 
 def cmd_verify_otp(args) -> int:
-    try:
-        if args.group is None:
-            inst = _instance_from_file(args.file)
-            sizes = (inst.plaintexts.size, inst.keys.size, inst.ciphertexts.size)
-        else:
-            sizes = (max(args.group, 0),) * 3  # group_instance refuses n < 1
-        protocols.refuse_oversized(*sizes)
-        if args.group is not None:
-            inst = protocols.group_instance(args.group)
-        source = args.file if args.group is None else f"group of order {args.group}"
-    except (ValueError, OSError, dsl.ParseError, dsl.ElaborationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    if args.group is None:
+        inst, source = _instance_from_file(args.file), args.file
+    else:
+        inst = protocols.group_instance(args.group)
+        source = f"group of order {args.group}"
     record = protocols.Verification(inst)
     results = {name: record[name] for name in protocols.OTP_CHECKS}
     if results["encryption_rebuilt_from_inverse"].refused:
@@ -239,7 +229,7 @@ def cmd_verify_otp(args) -> int:
     if args.format == "json":
         payload = {
             "source": source,
-            "sizes": list(sizes),
+            "sizes": [inst.plaintexts.size, inst.keys.size, inst.ciphertexts.size],
             "results": {
                 k: {"holds": v.holds, "witness": v.witness} for k, v in results.items()
             },
@@ -269,16 +259,8 @@ def cmd_verify_otp(args) -> int:
 
 def cmd_verify_dh(args) -> int:
     if args.prime > args.max_prime:
-        print(
-            f"error: prime {args.prime} exceeds the cap of {args.max_prime}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        inst = protocols.dh_instance(args.prime, args.include_identity)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"prime {args.prime} exceeds the cap of {args.max_prime}")
+    inst = protocols.dh_instance(args.prime, args.include_identity)
     verdict = protocols.check_dh(inst, erase_published=not args.no_erase)
     if args.format == "json":
         payload = {
@@ -319,27 +301,19 @@ def _refuse_threads(threads: int) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-        _refuse_threads(args.threads)
-        constraints = frozenset(
-            x for x in (args.constraints or "correctness").split(",") if x
-        )
-        spec = search.SearchSpec(
-            *sizes,
-            constraints=constraints,
-            dedup=args.dedup,
-            budget=_budget(),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sizes = _parse_sizes(args.sizes)
+    _refuse_threads(args.threads)
+    constraints = frozenset(
+        x for x in (args.constraints or "correctness").split(",") if x
+    )
+    spec = search.SearchSpec(
+        *sizes,
+        constraints=constraints,
+        dedup=args.dedup,
+        budget=_budget(),
+    )
     started = time.perf_counter()
-    try:
-        records = search.enumerate_solutions(spec)
-    except (search.BudgetExceeded, search.TooManyRecords) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = search.enumerate_solutions(spec)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     sys.stdout.writelines(_record_lines(records))
     summary = {
@@ -363,33 +337,23 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_theorems(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-        if args.samples < 0:
-            raise ValueError(f"--samples must not be negative, got {args.samples}")
-        if args.seed < 0:
-            # random.Random(-s) draws the stream of random.Random(s)
-            raise ValueError(f"--seed must not be negative, got {args.seed}")
-        _refuse_threads(args.threads)
-        spec = search.SearchSpec(*sizes, budget=_budget())
-        if args.samples > spec.budget:
-            raise ValueError(
-                f"{args.samples} samples exceed the budget of {spec.budget}; "
-                f"raise RELCAT_BUDGET to override"
-            )
-        if args.samples:
-            protocols.refuse_oversized(*sizes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sizes = _parse_sizes(args.sizes)
+    if args.samples < 0:
+        raise ValueError(f"--samples must not be negative, got {args.samples}")
+    if args.seed < 0:
+        # random.Random(-s) draws the stream of random.Random(s)
+        raise ValueError(f"--seed must not be negative, got {args.seed}")
+    _refuse_threads(args.threads)
+    spec = search.SearchSpec(*sizes, budget=_budget())
+    if args.samples > spec.budget:
+        raise ValueError(
+            f"{args.samples} samples exceed the budget of {spec.budget}; "
+            f"raise RELCAT_BUDGET to override"
+        )
     if args.samples:
         report = search.sample_candidates(sizes, args.samples, seed=args.seed)
     else:
-        try:
-            report = search.verify_theorems(spec)
-        except (search.BudgetExceeded, search.TooManyRecords) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        report = search.verify_theorems(spec)
     payload = {
         "sizes": list(report.sizes),
         "candidates": report.candidates,
@@ -548,6 +512,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the flush at interpreter shutdown cannot fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
+    except (ValueError, OSError) as exc:
+        # every refusal, by a command's own option checks or by the library
+        # it calls, is one line on stderr
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

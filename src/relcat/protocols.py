@@ -256,9 +256,11 @@ def single_bit_instance() -> ProtocolInstance:
 
 
 def group_instance(n: int) -> ProtocolInstance:
-    """Modular-addition one-time pad on n symbols."""
+    """Modular-addition one-time pad on n symbols; refused, before anything
+    is built, when its checks would build too large a matrix."""
     if n < 1:
         raise ValueError(f"carrier size must be at least 1, got {n}")
+    refuse_oversized(n, n, n)
     p, k, c = _labeled("p", n), _labeled("k", n), _labeled("c", n)
     encrypt = make(
         product_set(p, k),
@@ -547,9 +549,12 @@ class Verification:
     prefix of correctness and S1; no other side of an equation is kept.
     ``given`` names checks the caller already knows to hold, such as the
     search's correctness; they are recorded as holding, never decided.
+    An instance whose checks would build too large a matrix is refused
+    (`refuse_oversized`).
     """
 
     def __init__(self, inst: ProtocolInstance, given: Iterable[str] = ()):
+        refuse_oversized(inst.plaintexts.size, inst.keys.size, inst.ciphertexts.size)
         self.inst = inst
         self.inverse: Optional[TwoCell] = None
         self.fibers_bijective = all(

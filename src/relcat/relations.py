@@ -378,7 +378,7 @@ def _gather(r: Rel) -> Optional[_Gather]:
 def _contract(
     factors: Sequence[np.ndarray],
     bits: np.ndarray,
-    gathers: Optional[Sequence[Optional[_Gather]]] = None,
+    gathers: Sequence[Optional[_Gather]],
 ) -> np.ndarray:
     """``kron(factors) @ bits`` as booleans, one factor axis at a time.
 
@@ -389,14 +389,12 @@ def _contract(
     result.  A factor with a row gather in ``gathers`` (`_gather`) is
     applied as one: its target rows are copies of source rows, and rows
     with no source are zeroed.  Any other factor is a product in exact
-    float32 BLAS whose counts are clipped to 0/1; without ``gathers`` every
-    factor is.  The state stays boolean until the first product.  The
-    columns are taken in chunks, so that no state has more than
-    `_CONTRACT_MAX_STATE` entries unless one column alone does.
+    float32 BLAS whose counts are clipped to 0/1.  The state stays boolean
+    until the first product.  The columns are taken in chunks, so that no
+    state has more than `_CONTRACT_MAX_STATE` entries unless one column
+    alone does.
     """
     m = bits.shape[1]
-    if gathers is None:
-        gathers = (None,) * len(factors)
     floats = [
         f.astype(np.float32) if gather is None else None
         for f, gather in zip(factors, gathers)

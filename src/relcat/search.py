@@ -95,7 +95,7 @@ CONSTRAINT_NAMES = ("correctness", "S1", "S2", "S3", "S4")
 _PRINTABLE_BITS = 14284
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """The candidate space exceeds the budget.  `candidates` is the exact
     count, or None when it is too long to print."""
 
@@ -111,7 +111,7 @@ class BudgetExceeded(RuntimeError):
         )
 
 
-class TooManyRecords(RuntimeError):
+class TooManyRecords(ValueError):
     """The solutions exceed `MAX_RECORDS`.  `records` is their exact
     count, known from the one-ciphertext table before any is built."""
 
@@ -332,7 +332,8 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
     decryptions summed over rows, is known first: past `MAX_RECORDS` the
     search raises `TooManyRecords` before it builds a record.
     """
-    p, k, c = spec.sizes
+    sizes = spec.sizes  # one tuple, shared by every record
+    p, k, c = sizes
     need = spec.constraints
     solver = _BlockSolver(p, k, need)
     passing_by_row: dict[int, list[int]] = {}
@@ -353,7 +354,7 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
     # a solution picks a pad, then a row and a decryption per ciphertext
     records = math.factorial(k) * sum(map(len, passing_by_row.values())) ** c
     if records > MAX_RECORDS:
-        raise TooManyRecords(spec.sizes, records)
+        raise TooManyRecords(sizes, records)
     pads = list(itertools.permutations(range(k)))
     table = {
         row: [
@@ -375,9 +376,7 @@ def enumerate_shard(spec: SearchSpec) -> list[SolutionRecord]:
             for i in range(len(pads))
             for d_codes in itertools.product(*(table[r][i] for r in e_rows))
         ):
-            out.append(SolutionRecord(
-                spec.sizes, e_code, d_codes, pads[i], verdicts
-            ))
+            out.append(SolutionRecord(sizes, e_code, d_codes, pads[i], verdicts))
     return out
 
 
@@ -549,7 +548,9 @@ def sample_candidates(
     on actual solutions.  Correctness is always checked honestly first, by
     the rules `_BlockSolver.solve` reads, and the theorems are then decided
     on each correct record as in `verify_theorems`.  The pad is the
-    permutation of lexicographic rank ``below(k!)``.
+    permutation of lexicographic rank ``below(k!)``.  Sizes whose checks
+    would build too large a matrix are refused before the first draw
+    (`protocols.refuse_oversized`).
 
     Write ``below(n)`` for a draw from ``range(n)`` by `_below`: calls of
     ``getrandbits(n.bit_length())`` until one is below n, the calls
@@ -571,6 +572,7 @@ def sample_candidates(
     candidate to the next.
     """
     p, k, c = sizes
+    protocols.refuse_oversized(p, k, c)
     rng = random.Random(seed)
     getrandbits, uniform = rng.getrandbits, rng.random
     solver = _BlockSolver(p, k, frozenset({"correctness"}))

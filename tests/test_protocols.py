@@ -803,3 +803,22 @@ class TestChargeTable:
         assert all(v.holds for v in verdicts.values())
         assert largest == instance_bits(n, n, n) == n**5
         assert instance_bits(48, 48, 48) <= 1 << 28 < instance_bits(49, 49, 49)
+
+    def test_group_instance_is_refused_before_anything_is_built(self, monkeypatch):
+        made = []
+
+        def counted(*args, _make=protocols.make):
+            made.append(args)
+            return _make(*args)
+
+        monkeypatch.setattr(protocols, "make", counted)
+        with pytest.raises(ValueError, match="282475249 dense bits"):
+            group_instance(49)
+        assert made == []
+
+    def test_verification_refuses_an_oversized_instance(self):
+        # the region's c^3 is over the limit; a library caller that builds
+        # the instance itself is refused as `verify-otp --file` is
+        inst = function_scheme(1, 1, 646, seed=1)
+        with pytest.raises(ValueError, match="269586136 dense bits"):
+            Verification(inst)

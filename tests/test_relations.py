@@ -389,7 +389,7 @@ class TestFactoredProduct:
         with mock.patch.object(relations, "_CONTRACT_MAX_STATE", 512):
             tracemalloc.start()
             try:
-                relations._contract(factors, state)
+                relations._contract(factors, state, (None,) * len(factors))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -456,7 +456,7 @@ class TestContract:
         # small limits take the columns in chunks of one or a few
         with mock.patch.object(relations, "_CONTRACT_MAX_STATE", limit):
             gathered = relations._contract(factors, bits, gathers)
-            multiplied = relations._contract(factors, bits)
+            multiplied = relations._contract(factors, bits, (None,) * len(factors))
         event(f"kinds={sorted(set(kinds))} chunked={limit * len(factors) < n * m}")
         assert np.array_equal(gathered, want)
         assert np.array_equal(multiplied, want)

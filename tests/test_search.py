@@ -102,6 +102,9 @@ class TestEnumerate:
         assert all(type(r.verdicts) is dict for r in kept)
         assert len({id(r.verdicts) for r in kept}) == len(kept) > 1
 
+    def test_records_share_one_sizes_tuple(self, solutions_222):
+        assert len({id(r.sizes) for r in solutions_222}) == 1
+
     def test_oracle_agreement_byte_for_byte(self, solutions_222):
         oracle = oracle_naive.enumerate_triples(2, 2, 2, ("correctness",))
         assert [r.triple() for r in solutions_222] == oracle
@@ -163,6 +166,11 @@ class TestEnumerate:
     def test_emission_order_ascending(self, solutions_222):
         triples = [r.triple() for r in solutions_222]
         assert triples == sorted(triples)
+
+    def test_refusals_are_value_errors(self):
+        # the one kind of exception that `cli.main` reports as a refusal
+        assert issubclass(BudgetExceeded, ValueError)
+        assert issubclass(TooManyRecords, ValueError)
 
     def test_budget_refusal(self):
         spec = SearchSpec(3, 3, 3)
@@ -624,6 +632,19 @@ class TestSamplerOracle:
         oracle_sampler.sample_candidates(sizes, 300, seed=4)
         got, want = streams
         assert got == want and len(got) > 300
+
+    def test_oversized_sizes_are_refused_before_a_draw(self, monkeypatch):
+        drawn = []
+
+        class Recording(random.Random):
+            def getrandbits(self, n):
+                drawn.append(n)
+                return super().getrandbits(n)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        with pytest.raises(ValueError, match="276922881 dense bits"):
+            sample_candidates((1, 129, 129), 2)
+        assert drawn == []
 
     # every n = 2^j - 1, 2^j, 2^j + 1 up to 2^72 + 1, and k! up to 30!
     BOUNDS = sorted(
